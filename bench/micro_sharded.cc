@@ -109,8 +109,8 @@ BENCHMARK(BM_MultiQuery)
     ->ThreadRange(1, 8)
     ->UseRealTime();
 
-/// Raw MultiFetch fan-out (no client-side decryption): isolates the
-/// serving path the sharding parallelizes.
+/// Raw MultiFetch (no client-side decryption): isolates the sharded serving
+/// path, which serves every range on the calling thread.
 void BM_MultiFetch(benchmark::State& state) {
   Harness& h = GetHarness(static_cast<size_t>(state.range(0)));
   net::DirectTransport transport(h.backend);

@@ -1,6 +1,8 @@
 #include "cluster/router.h"
 
 #include <algorithm>
+#include <chrono>
+#include <thread>
 #include <utility>
 
 #include "obs/trace.h"
@@ -53,18 +55,6 @@ RouterService::RouterService(size_t num_lists, const Options& options)
     shards_.push_back(std::make_unique<ShardClient>(std::move(client)));
   }
 
-  size_t num_workers = options.num_workers;
-  if (num_workers == kAutoWorkers) {
-    size_t hardware = std::thread::hardware_concurrency();
-    if (hardware == 0) hardware = 2;
-    size_t target = std::min(num_shards, hardware);
-    num_workers = target > 0 ? target - 1 : 0;
-  }
-  workers_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-
   // The router's fault-handling counters on the scrape plane: the
   // aggregate under zr_router_*, plus the per-shard breakdown the
   // aggregate hides (which shard is retrying, whose breaker opened).
@@ -99,37 +89,6 @@ RouterService::RouterService(size_t num_lists, const Options& options)
               {"zr_shard_client_rejoins_total", labels, per_shard[s].rejoins});
         }
       });
-}
-
-RouterService::~RouterService() {
-  {
-    MutexLock lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_cv_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void RouterService::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(queue_mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.Wait(queue_mu_);
-      if (queue_.empty()) return;  // stopping, queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void RouterService::Enqueue(std::function<void()> task) {
-  {
-    MutexLock lock(queue_mu_);
-    queue_.push_back(std::move(task));
-  }
-  queue_cv_.NotifyOne();
 }
 
 Status RouterService::CheckList(zerber::MergedListId list) const {
@@ -185,26 +144,16 @@ StatusOr<net::MultiFetchResponse> RouterService::MultiFetch(
   for (size_t i = 0; i < fetches.size(); ++i) {
     by_shard[ShardOfList(fetches[i].list)].push_back(i);
   }
-  std::vector<size_t> active;
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (!by_shard[s].empty()) active.push_back(s);
-  }
 
-  // On multiple failing shards, surface the error of the shard whose batch
-  // starts earliest in the request (ranges group in order, so this is the
-  // error an in-order serial execution would have hit first).
-  Mutex error_mu;
+  // Shards are called one after another, in shard order, and every one is
+  // called even after another failed. On multiple failing shards, surface
+  // the error of the shard whose batch starts earliest in the request
+  // (ranges group in order, so this is the error an in-order range-by-range
+  // execution would have hit first), whatever the shard order.
   size_t first_error_index = static_cast<size_t>(-1);
   Status first_error = Status::OK();
-
-  // Capture the caller's trace context by value: shard batches handed to
-  // the worker pool run on threads with no trace of their own, so each
-  // closure re-installs the context before its shard hop (the trace then
-  // crosses the wire from the worker thread too, and its fanout/transport
-  // spans land on the caller's trace id).
-  const obs::TraceContext trace = obs::CurrentTrace();
-  auto run_shard = [&](size_t s) {
-    obs::ScopedTrace propagate(trace);
+  for (size_t s = 0; s < by_shard.size(); ++s) {
+    if (by_shard[s].empty()) continue;
     net::MultiFetchRequest sub;
     sub.user = request.user;
     sub.fetches.reserve(by_shard[s].size());
@@ -217,47 +166,20 @@ StatusOr<net::MultiFetchResponse> RouterService::MultiFetch(
     auto fetched = shards_[s]->MultiFetch(sub);
     if (!fetched.ok() ||
         fetched->responses.size() != by_shard[s].size()) {
-      Status failure = fetched.ok()
-                           ? Status::Internal("shard " + std::to_string(s) +
-                                              ": short multifetch response")
-                           : fetched.status();
-      MutexLock lock(error_mu);
       if (by_shard[s].front() < first_error_index) {
         first_error_index = by_shard[s].front();
-        first_error = failure;
+        first_error = fetched.ok()
+                          ? Status::Internal("shard " + std::to_string(s) +
+                                             ": short multifetch response")
+                          : fetched.status();
       }
-      return;
+      continue;
     }
     for (size_t i = 0; i < by_shard[s].size(); ++i) {
       net::QueryResponse& out = response.responses[by_shard[s][i]];
       out = std::move(fetched->responses[i]);
       out.wire_size = 0;  // shard-hop accounting is not the client's
     }
-  };
-
-  if (active.size() <= 1 || workers_.empty()) {
-    for (size_t s : active) run_shard(s);
-  } else {
-    // Fan out: every shard batch but the first goes to the pool; the
-    // calling thread serves the first itself, then waits for the rest.
-    Mutex done_mu;
-    CondVar done_cv;
-    size_t remaining = active.size() - 1;
-    for (size_t i = 1; i < active.size(); ++i) {
-      size_t s = active[i];
-      Enqueue([&, s] {
-        run_shard(s);
-        // Notify *while holding the lock*: done_mu/done_cv live on the
-        // caller's stack, and the caller may destroy them as soon as it
-        // observes remaining == 0 — which it cannot do before this unlock.
-        MutexLock lock(done_mu);
-        --remaining;
-        done_cv.NotifyOne();
-      });
-    }
-    run_shard(active[0]);
-    MutexLock lock(done_mu);
-    while (remaining != 0) done_cv.Wait(done_mu);
   }
 
   if (first_error_index != static_cast<size_t>(-1)) return first_error;

@@ -17,8 +17,8 @@
 //    are already global by residue construction).
 //  * MultiFetch — validate every range upfront (atomic failure, identical
 //    to ShardedIndexService), group ranges by owning shard into one
-//    sub-MultiFetch per shard, fan out on a small worker pool (the calling
-//    thread serves one shard itself), reassemble responses in request
+//    sub-MultiFetch per shard (one round trip each), call the shards one
+//    after another on the calling thread, reassemble responses in request
 //    order. A dead shard fails fast with Status::Unavailable (circuit
 //    breaker) instead of stalling the healthy shards' results.
 //
@@ -26,28 +26,24 @@
 // idempotent ops, fail-fast Unavailable while a shard's breaker is open,
 // and automatic rejoin after a health probe verifies a restarted shard.
 //
-// Threading: the request path is thread-safe (ShardClient is; the worker
-// pool mirrors ShardedIndexService's). The operator surface (ACL
-// broadcast) requires the same quiescence as every other backend.
+// Threading: the request path is thread-safe because ShardClient is, and a
+// backend call never hops threads — every shard hop of a request runs on
+// the thread that made it, like ShardedIndexService. The operator surface
+// (ACL broadcast) requires the same quiescence as every other backend.
 
 #ifndef ZERBERR_CLUSTER_ROUTER_H_
 #define ZERBERR_CLUSTER_ROUTER_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "cluster/shard_client.h"
 #include "net/service.h"
 #include "obs/registry.h"
-#include "util/mutex.h"
 #include "util/status.h"
 #include "util/statusor.h"
-#include "util/thread_annotations.h"
 #include "zerber/routing.h"
 #include "zerber/zerber_index.h"
 
@@ -67,18 +63,11 @@ struct RouterStats {
 
 class RouterService : public net::ZerberService {
  public:
-  /// Sentinel for Options::num_workers: size the pool automatically.
-  static constexpr size_t kAutoWorkers = static_cast<size_t>(-1);
-
   struct Options {
     /// "host:port" of shard s at index s. Order is identity: shard s must
     /// be the server holding lists {L : L % N == s} (it echoes s as its
     /// server id, verified on every health probe).
     std::vector<std::string> shard_addrs;
-
-    /// Worker threads fanning MultiFetch batches across shards (same
-    /// semantics as ShardedIndexService::Options::num_workers).
-    size_t num_workers = kAutoWorkers;
 
     /// Fault-handling template applied to every shard's client; `addr` and
     /// `expected_server_id` are filled in per shard. The retry/breaker
@@ -89,7 +78,6 @@ class RouterService : public net::ZerberService {
 
   /// Routes `num_lists` global merged lists over options.shard_addrs.
   RouterService(size_t num_lists, const Options& options);
-  ~RouterService() override;
 
   RouterService(const RouterService&) = delete;
   RouterService& operator=(const RouterService&) = delete;
@@ -149,17 +137,9 @@ class RouterService : public net::ZerberService {
  private:
   Status CheckList(zerber::MergedListId list) const;
 
-  void WorkerLoop();
-  void Enqueue(std::function<void()> task);
-
   size_t num_lists_;
   std::vector<std::unique_ptr<ShardClient>> shards_;
 
-  std::vector<std::thread> workers_;
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<std::function<void()>> queue_ ZR_GUARDED_BY(queue_mu_);
-  bool stopping_ ZR_GUARDED_BY(queue_mu_) = false;
   /// Publishes RouterStats and per-shard ShardClientStats through the
   /// process metrics registry. LAST member: unregistered before anything
   /// else is torn down, and RemoveCollector blocks out in-flight scrapes.

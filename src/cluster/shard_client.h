@@ -26,10 +26,10 @@
 // PermissionDenied, ...) pass through untouched: the shard answered, so they
 // neither retry nor count against the breaker.
 //
-// Threading: thread-safe. The router's MultiFetch fan-out calls one
-// ShardClient from pool workers while single-exchange requests arrive from
-// any number of serving threads; the pool checkout/return and breaker state
-// are mutex-guarded, and no lock is held across socket IO.
+// Threading: thread-safe. The router calls a ShardClient on whichever
+// thread called the router (a backend call never hops threads), so any
+// number of serving threads share one; the connection checkout/return and
+// breaker state are mutex-guarded, and no lock is held across socket IO.
 
 #ifndef ZERBERR_CLUSTER_SHARD_CLIENT_H_
 #define ZERBERR_CLUSTER_SHARD_CLIENT_H_

@@ -114,10 +114,6 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
     }
     cluster::RouterService::Options routing;
     routing.shard_addrs = std::move(addrs);
-    routing.num_workers =
-        options.num_shard_workers == zerber::ShardedIndexService::kAutoWorkers
-            ? cluster::RouterService::kAutoWorkers
-            : options.num_shard_workers;
     routing.client = options.cluster_client;
     p->router = std::make_unique<cluster::RouterService>(p->plan.NumLists(),
                                                          routing);
@@ -139,7 +135,6 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
     durability.placement = options.placement;
     durability.seed = options.seed ^ 0x0F0F;
     durability.num_shards = options.num_shards;
-    durability.num_shard_workers = options.num_shard_workers;
     ZR_ASSIGN_OR_RETURN(p->durable,
                         store::DurableIndexService::Open(durability));
     for (crypto::GroupId g : groups) {
@@ -150,7 +145,6 @@ StatusOr<std::unique_ptr<Pipeline>> Assemble(text::Corpus corpus,
   } else if (options.num_shards > 1) {
     zerber::ShardedIndexService::Options sharding;
     sharding.num_shards = options.num_shards;
-    sharding.num_workers = options.num_shard_workers;
     sharding.placement = options.placement;
     sharding.seed = options.seed ^ 0x0F0F;
     p->sharded = std::make_unique<zerber::ShardedIndexService>(

@@ -93,14 +93,10 @@ struct PipelineOptions {
   /// Index shards serving the merged lists. 1 (the default) deploys the
   /// single IndexServer backend (Pipeline::server + Pipeline::service);
   /// >1 deploys a ShardedIndexService (Pipeline::sharded) — merged lists
-  /// are partitioned round-robin and MultiFetch fans out across shards.
-  /// Both transports, clients and results are identical either way.
+  /// are partitioned round-robin and a MultiFetch is served range by range
+  /// from the owning shards, on the calling thread. Both transports,
+  /// clients and results are identical either way.
   size_t num_shards = 1;
-
-  /// MultiFetch worker threads of the sharded backend; only meaningful
-  /// when num_shards > 1. ShardedIndexService::kAutoWorkers sizes the pool
-  /// from the hardware.
-  size_t num_shard_workers = zerber::ShardedIndexService::kAutoWorkers;
 
   /// Cluster deployment: non-empty serves the index over already-running
   /// shard-server processes (tools/shard_server.cc) at these "host:port"

@@ -138,7 +138,6 @@ StatusOr<std::unique_ptr<DurableIndexService>> DurableIndexService::Open(
   } else if (options.num_shards > 1) {
     zerber::ShardedIndexService::Options sharding;
     sharding.num_shards = options.num_shards;
-    sharding.num_workers = options.num_shard_workers;
     sharding.placement = options.placement;
     sharding.seed = options.seed;
     service->sharded_ = std::make_unique<zerber::ShardedIndexService>(

@@ -92,7 +92,6 @@ struct DurableOptions {
   zerber::Placement placement = zerber::Placement::kTrsSorted;
   uint64_t seed = 1;
   size_t num_shards = 1;
-  size_t num_shard_workers = zerber::ShardedIndexService::kAutoWorkers;
 
   /// Cluster-shard scope (tools/shard_server.cc): when cluster_shards > 1
   /// this store is shard `cluster_shard` of a cluster_shards-wide cluster —

@@ -17,49 +17,6 @@ ShardedIndexService::ShardedIndexService(size_t num_lists,
         ListsOnShard(num_lists, num_shards, s), options.placement,
         ShardSeed(options.seed, s), HandleSpace{num_shards, s}));
   }
-
-  size_t num_workers = options.num_workers;
-  if (num_workers == kAutoWorkers) {
-    size_t hardware = std::thread::hardware_concurrency();
-    if (hardware == 0) hardware = 2;
-    size_t target = std::min(num_shards, hardware);
-    num_workers = target > 0 ? target - 1 : 0;
-  }
-  workers_.reserve(num_workers);
-  for (size_t i = 0; i < num_workers; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
-  }
-}
-
-ShardedIndexService::~ShardedIndexService() {
-  {
-    MutexLock lock(queue_mu_);
-    stopping_ = true;
-  }
-  queue_cv_.NotifyAll();
-  for (std::thread& worker : workers_) worker.join();
-}
-
-void ShardedIndexService::WorkerLoop() {
-  for (;;) {
-    std::function<void()> task;
-    {
-      MutexLock lock(queue_mu_);
-      while (!stopping_ && queue_.empty()) queue_cv_.Wait(queue_mu_);
-      if (queue_.empty()) return;  // stopping, queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
-    }
-    task();
-  }
-}
-
-void ShardedIndexService::Enqueue(std::function<void()> task) {
-  {
-    MutexLock lock(queue_mu_);
-    queue_.push_back(std::move(task));
-  }
-  queue_cv_.NotifyOne();
 }
 
 Status ShardedIndexService::CheckList(MergedListId list) const {
@@ -113,68 +70,17 @@ StatusOr<net::MultiFetchResponse> ShardedIndexService::MultiFetch(
   }
 
   net::MultiFetchResponse response;
-  response.responses.resize(fetches.size());
-
-  // Group ranges by owning shard; one task per shard with work.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
-  for (size_t i = 0; i < fetches.size(); ++i) {
-    by_shard[ShardOfList(fetches[i].list)].push_back(i);
+  response.responses.reserve(fetches.size());
+  for (const net::FetchRange& f : fetches) {
+    ZR_ASSIGN_OR_RETURN(
+        FetchResult fetched,
+        shards_[ShardOfList(f.list)]->Fetch(
+            request.user, LocalListId(f.list),
+            static_cast<size_t>(f.offset), static_cast<size_t>(f.count)));
+    net::QueryResponse& out = response.responses.emplace_back();
+    out.elements = std::move(fetched.elements);
+    out.exhausted = fetched.exhausted;
   }
-  std::vector<size_t> active;
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (!by_shard[s].empty()) active.push_back(s);
-  }
-
-  Mutex error_mu;
-  size_t first_error_index = static_cast<size_t>(-1);
-  Status first_error = Status::OK();
-
-  auto run_shard = [&](size_t s) {
-    for (size_t idx : by_shard[s]) {
-      const net::FetchRange& f = fetches[idx];
-      auto fetched = shards_[s]->Fetch(request.user, LocalListId(f.list),
-                                       static_cast<size_t>(f.offset),
-                                       static_cast<size_t>(f.count));
-      if (!fetched.ok()) {
-        MutexLock lock(error_mu);
-        if (idx < first_error_index) {
-          first_error_index = idx;
-          first_error = fetched.status();
-        }
-        return;
-      }
-      net::QueryResponse& out = response.responses[idx];
-      out.elements = std::move(fetched->elements);
-      out.exhausted = fetched->exhausted;
-    }
-  };
-
-  if (active.size() <= 1 || workers_.empty()) {
-    for (size_t s : active) run_shard(s);
-  } else {
-    // Fan out: every shard batch but the first goes to the pool; the
-    // calling thread serves the first itself, then waits for the rest.
-    Mutex done_mu;
-    CondVar done_cv;
-    size_t remaining = active.size() - 1;
-    for (size_t i = 1; i < active.size(); ++i) {
-      size_t s = active[i];
-      Enqueue([&, s] {
-        run_shard(s);
-        // Notify *while holding the lock*: done_mu/done_cv live on the
-        // caller's stack, and the caller may destroy them as soon as it
-        // observes remaining == 0 — which it cannot do before this unlock.
-        MutexLock lock(done_mu);
-        --remaining;
-        done_cv.NotifyOne();
-      });
-    }
-    run_shard(active[0]);
-    MutexLock lock(done_mu);
-    while (remaining != 0) done_cv.Wait(done_mu);
-  }
-
-  if (first_error_index != static_cast<size_t>(-1)) return first_error;
   return response;
 }
 

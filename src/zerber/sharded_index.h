@@ -17,26 +17,21 @@
 //     shards and a Delete routes by its list id with the handle's residue as
 //     a free consistency check — no broadcast, no shared handle counter.
 //
-// MultiFetch fans out across shards on a small worker pool (the calling
-// thread serves one shard's batch itself), so a multi-term query's per-term
-// fetches proceed in parallel while single-exchange requests stay
-// pool-free and zero-hop.
+// A backend call never hops threads: MultiFetch serves its ranges in request
+// order on the calling thread, each from its owning shard. Concurrency comes
+// from concurrent callers, not from splitting one request — a shard fetch
+// is a few microseconds of list scanning, far less than a thread hand-off.
 
 #ifndef ZERBERR_ZERBER_SHARDED_INDEX_H_
 #define ZERBERR_ZERBER_SHARDED_INDEX_H_
 
 #include <cstdint>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <thread>
 #include <vector>
 
 #include "net/service.h"
-#include "util/mutex.h"
 #include "util/status.h"
 #include "util/statusor.h"
-#include "util/thread_annotations.h"
 #include "zerber/routing.h"
 #include "zerber/zerber_index.h"
 
@@ -48,18 +43,9 @@ namespace zr::zerber {
 /// follows IndexServer's quiescence contract.
 class ShardedIndexService : public net::ZerberService {
  public:
-  /// Sentinel for Options::num_workers: size the pool automatically.
-  static constexpr size_t kAutoWorkers = static_cast<size_t>(-1);
-
   struct Options {
     /// Number of IndexServer shards the global list space is split across.
     size_t num_shards = 1;
-
-    /// Worker threads fanning MultiFetch batches across shards. The calling
-    /// thread always executes one shard's batch itself, so 0 degrades to
-    /// fully inline (still correct, no parallelism). kAutoWorkers sizes the
-    /// pool to min(num_shards, hardware threads) - 1.
-    size_t num_workers = kAutoWorkers;
 
     /// Element placement discipline of every shard's lists.
     Placement placement = Placement::kTrsSorted;
@@ -71,7 +57,6 @@ class ShardedIndexService : public net::ZerberService {
   /// Creates N shards jointly serving `num_lists` global merged lists.
   /// num_shards is clamped to at least 1.
   ShardedIndexService(size_t num_lists, const Options& options);
-  ~ShardedIndexService() override;
 
   ShardedIndexService(const ShardedIndexService&) = delete;
   ShardedIndexService& operator=(const ShardedIndexService&) = delete;
@@ -103,9 +88,6 @@ class ShardedIndexService : public net::ZerberService {
   /// Number of global merged lists.
   size_t NumLists() const { return num_lists_; }
 
-  /// Worker threads actually running (after kAutoWorkers resolution).
-  size_t num_workers() const { return workers_.size(); }
-
   /// Direct shard access (tests / persistence-per-shard). Quiescence rules
   /// of IndexServer apply for anything beyond the request path.
   IndexServer& shard(size_t s) { return *shards_[s]; }
@@ -133,17 +115,8 @@ class ShardedIndexService : public net::ZerberService {
  private:
   Status CheckList(MergedListId list) const;
 
-  void WorkerLoop();
-  void Enqueue(std::function<void()> task);
-
   size_t num_lists_;
   std::vector<std::unique_ptr<IndexServer>> shards_;
-
-  std::vector<std::thread> workers_;
-  Mutex queue_mu_;
-  CondVar queue_cv_;
-  std::deque<std::function<void()>> queue_ ZR_GUARDED_BY(queue_mu_);
-  bool stopping_ ZR_GUARDED_BY(queue_mu_) = false;
 };
 
 }  // namespace zr::zerber

@@ -4,6 +4,8 @@
 //  * one shard down -> requests routed to it surface Status::Unavailable
 //    in bounded time, and a MultiFetch spanning the dead shard fails
 //    without stalling the healthy shards' batches;
+//  * with several shards down, a MultiFetch reports the error of the batch
+//    that starts earliest in the request;
 //  * the circuit breaker opens after the configured threshold and
 //    fail-fasts subsequent calls;
 //  * a restarted shard (same data dir, same pinned address) replays its
@@ -210,6 +212,33 @@ TEST_F(ClusterFailoverTest, DeadShardFailsUnavailableWithoutStallingOthers) {
   // failing the scrape.
   zerber::ServerStats server_stats = router_->stats();
   EXPECT_GT(server_stats.insert_requests, 0u);
+}
+
+TEST_F(ClusterFailoverTest, MultiFetchReportsTheEarliestFailingBatch) {
+  // Two dead shards: the MultiFetch's first range lives on the
+  // higher-numbered one, so the batch starting earliest in the request is
+  // not the first dead shard in shard order. The router must still surface
+  // that batch's error, whatever order it calls the shards in.
+  constexpr size_t kLowDead = 1;
+  constexpr size_t kHighDead = 2;
+  const std::string low_addr = procs_[kLowDead]->addr();
+  const std::string high_addr = procs_[kHighDead]->addr();
+  ASSERT_NE(low_addr, high_addr);
+  procs_[kLowDead]->Kill();
+  procs_[kHighDead]->Kill();
+
+  net::MultiFetchRequest multi;
+  multi.user = kUser;
+  multi.fetches.push_back({/*list=*/kHighDead, /*offset=*/0, /*count=*/4});
+  multi.fetches.push_back({/*list=*/kLowDead, /*offset=*/0, /*count=*/4});
+  multi.fetches.push_back({/*list=*/0, /*offset=*/0, /*count=*/4});
+  auto fetched = router_->MultiFetch(multi);
+  ASSERT_FALSE(fetched.ok());
+  EXPECT_TRUE(fetched.status().IsUnavailable()) << fetched.status();
+  // ShardClient prefixes every Unavailable with "shard <addr>:".
+  EXPECT_EQ(fetched.status().message().rfind("shard " + high_addr + ":", 0),
+            0u)
+      << fetched.status();
 }
 
 TEST_F(ClusterFailoverTest, RestartedShardRejoinsWithTheAckedPrefix) {

@@ -33,11 +33,9 @@ class ShardedIndexTest : public ::testing::Test {
   /// num_lists lists over num_shards shards; users 10/20 as in the
   /// single-server suite (Alice: groups 1+2, Bob: group 1 only).
   std::unique_ptr<ShardedIndexService> MakeService(size_t num_lists,
-                                                   size_t num_shards,
-                                                   size_t num_workers = 0) {
+                                                   size_t num_shards) {
     ShardedIndexService::Options options;
     options.num_shards = num_shards;
-    options.num_workers = num_workers;
     options.seed = 77;
     auto service = std::make_unique<ShardedIndexService>(num_lists, options);
     EXPECT_TRUE(service->AddGroup(1).ok());
@@ -151,9 +149,7 @@ TEST_F(ShardedIndexTest, DeleteRoutesByHandleResidue) {
 }
 
 TEST_F(ShardedIndexTest, MultiFetchMatchesSequentialFetches) {
-  // 3 workers force the cross-shard fan-out path even on one core.
-  auto service = MakeService(12, 4, /*num_workers=*/3);
-  EXPECT_EQ(service->num_workers(), 3u);
+  auto service = MakeService(12, 4);
   for (MergedListId list = 0; list < 12; ++list) {
     for (int i = 0; i < 6; ++i) {
       crypto::GroupId g = (i % 2 == 0) ? 1 : 2;
@@ -189,7 +185,7 @@ TEST_F(ShardedIndexTest, MultiFetchMatchesSequentialFetches) {
 }
 
 TEST_F(ShardedIndexTest, MultiFetchFailsAtomicallyOnBadRange) {
-  auto service = MakeService(8, 4, /*num_workers=*/2);
+  auto service = MakeService(8, 4);
   ASSERT_TRUE(InsertVia(*service, kAlice, 0, MakeElement(1, 0.5)).ok());
   net::MultiFetchRequest batch;
   batch.user = kAlice;
@@ -213,7 +209,7 @@ TEST_F(ShardedIndexTest, ConcurrentMixedWorkloadKeepsInvariants) {
   constexpr size_t kListsTotal = 8;
   constexpr int kInsertsPerThread = 120;
 
-  auto service = MakeService(kListsTotal, 4, /*num_workers=*/2);
+  auto service = MakeService(kListsTotal, 4);
   // Every thread's user is in both groups; elements overlap groups freely.
   std::vector<UserId> users;
   for (size_t t = 0; t < kThreads; ++t) {
@@ -350,7 +346,6 @@ TEST_F(ShardedIndexTest, ShardedPipelineMatchesSingleServerResults) {
     options.sigma = 0.01;
     options.build_baseline_index = false;
     options.num_shards = num_shards;
-    options.num_shard_workers = num_shards > 1 ? 2 : 0;
     return core::BuildPipeline(options);
   };
 
@@ -398,7 +393,7 @@ TEST_F(ShardedIndexTest, ShardedPipelineMatchesSingleServerResults) {
 
 // Both transports work unchanged against the sharded backend.
 TEST_F(ShardedIndexTest, LoopbackTransportOverShardedBackend) {
-  auto service = MakeService(6, 3, /*num_workers=*/1);
+  auto service = MakeService(6, 3);
   net::LoopbackTransport loopback(service.get());
   net::DirectTransport direct(service.get());
 

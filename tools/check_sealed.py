@@ -27,16 +27,14 @@ Three rules:
                                boundaries (src/zerber/posting_element.cc,
                                src/zerber/document_store.cc).
 
-Engines: libclang (python3-clang) when importable for an AST-accurate
-walk; otherwise a token-level fallback that strips comments/strings and
-tracks per-function taint. Both report identical finding tuples so
---self-test pins either engine against the fixtures in
+The scanner works at token level: it strips comments/strings and tracks
+per-function taint. --self-test pins it against the fixtures in
 tools/testdata/check_sealed/ (expected findings are annotated in the
 fixtures themselves as `// expect-finding: <rule>` on the offending line).
 
 Usage:
     tools/check_sealed.py [--repo-root DIR] [--json OUT] [--sarif OUT]
-    tools/check_sealed.py --self-test [--engine fallback|libclang]
+    tools/check_sealed.py --self-test
 
 Exit codes (check_links.py convention): 0 clean, 1 findings (or self-test
 mismatch), 2 usage/environment error.
@@ -49,7 +47,7 @@ import json
 import pathlib
 import re
 import sys
-from typing import Iterable, List, NamedTuple, Optional, Sequence
+from typing import Iterable, List, NamedTuple, Sequence
 
 # Boundary TUs relative to the repo root: everything these encode crosses
 # to the untrusted server (wire frames) or to disk it controls (WAL) — or,
@@ -159,7 +157,7 @@ def strip_comments_and_strings(text: str) -> str:
 
 
 def scan_boundary_tu(path: pathlib.Path, rel: str) -> List[Finding]:
-    """Fallback engine: scan one boundary TU for the first two rules."""
+    """Scans one boundary TU for the first two rules."""
     findings: List[Finding] = []
     text = strip_comments_and_strings(path.read_text(encoding="utf-8"))
     lines = text.split("\n")
@@ -235,83 +233,6 @@ def scan_adopt_calls(
     return findings
 
 
-def try_libclang() -> Optional[object]:
-    """Returns the clang.cindex module when usable, else None."""
-    try:
-        from clang import cindex  # type: ignore[import-not-found]
-
-        cindex.Index.create()
-        return cindex
-    except Exception:  # pragma: no cover - environment-dependent
-        return None
-
-
-def scan_boundary_tu_libclang(
-    cindex: object, path: pathlib.Path, rel: str
-) -> List[Finding]:  # pragma: no cover - requires libclang
-    """AST engine: same two boundary rules, via a real parse.
-
-    Identifier references resolve through the cursor graph, so hits in
-    comments/strings are impossible by construction and taint tracks
-    DeclRefExprs instead of token names.
-    """
-    import clang.cindex as ci  # type: ignore[import-not-found]
-
-    assert cindex is not None
-    index = ci.Index.create()
-    tu = index.parse(
-        str(path),
-        args=["-std=c++20", "-I", str(path.parents[2] / "src")],
-        options=ci.TranslationUnit.PARSE_SKIP_FUNCTION_BODIES * 0,
-    )
-    findings: List[Finding] = []
-    tainted_vars: dict = {}
-
-    def walk(node: "ci.Cursor") -> None:
-        if node.location.file and node.location.file.name != str(path):
-            return
-        name = node.spelling or ""
-        if (
-            node.kind
-            in (ci.CursorKind.DECL_REF_EXPR, ci.CursorKind.TYPE_REF)
-            and any(p in name for p in PLAINTEXT_IDENTIFIERS)
-        ):
-            findings.append(
-                Finding(
-                    rel,
-                    node.location.line,
-                    RULE_BOUNDARY,
-                    f"plaintext identifier '{name}' inside a boundary TU; "
-                    "payloads must be sealed before they reach an encoder",
-                )
-            )
-        if node.kind == ci.CursorKind.VAR_DECL:
-            tokens = " ".join(t.spelling for t in node.get_tokens())
-            for p in PLAINTEXT_IDENTIFIERS:
-                if p + " (" in tokens or p + "(" in tokens:
-                    tainted_vars[node.spelling] = p
-        if node.kind == ci.CursorKind.CALL_EXPR and node.spelling in SINK_NAMES:
-            for arg in node.get_arguments():
-                for tok in arg.get_tokens():
-                    if tok.spelling in tainted_vars:
-                        findings.append(
-                            Finding(
-                                rel,
-                                node.location.line,
-                                RULE_TAINT,
-                                f"'{tok.spelling}' (from "
-                                f"{tainted_vars[tok.spelling]}) flows into "
-                                f"byte sink {node.spelling} without "
-                                "crypto::Seal",
-                            )
-                        )
-        for child in node.get_children():
-            walk(child)
-
-    walk(tu.cursor)
-    return findings
-
-
 def collect_cc_files(repo_root: pathlib.Path) -> List[pathlib.Path]:
     files: List[pathlib.Path] = []
     for sub in ("src", "tools"):
@@ -324,23 +245,14 @@ def collect_cc_files(repo_root: pathlib.Path) -> List[pathlib.Path]:
     return [f for f in files if "testdata" not in f.parts]
 
 
-def run_scan(
-    repo_root: pathlib.Path, engine: str
-) -> List[Finding]:
-    cindex = try_libclang() if engine in ("auto", "libclang") else None
-    if engine == "libclang" and cindex is None:
-        sys.exit("error: --engine libclang requested but libclang is unusable")
-
+def run_scan(repo_root: pathlib.Path) -> List[Finding]:
     findings: List[Finding] = []
     for rel in BOUNDARY_FILES:
         path = repo_root / rel
         if not path.exists():
             sys.exit(f"error: boundary TU {rel} missing — update "
                      "BOUNDARY_FILES in tools/check_sealed.py")
-        if cindex is not None:
-            findings.extend(scan_boundary_tu_libclang(cindex, path, rel))
-        else:
-            findings.extend(scan_boundary_tu(path, rel))
+        findings.extend(scan_boundary_tu(path, rel))
     findings.extend(scan_adopt_calls(repo_root, collect_cc_files(repo_root)))
     return findings
 
@@ -357,7 +269,7 @@ def expected_fixture_findings(fixture: pathlib.Path) -> List[tuple]:
     return expected
 
 
-def self_test(repo_root: pathlib.Path, engine: str) -> int:
+def self_test(repo_root: pathlib.Path) -> int:
     fixtures_dir = repo_root / "tools" / "testdata" / "check_sealed"
     fixtures = sorted(fixtures_dir.glob("*.cc"))
     if len(fixtures) < 4:
@@ -365,19 +277,9 @@ def self_test(repo_root: pathlib.Path, engine: str) -> int:
               file=sys.stderr)
         return 2
 
-    cindex = try_libclang() if engine in ("auto", "libclang") else None
-    if engine == "libclang" and cindex is None:
-        print("error: --engine libclang requested but libclang is unusable",
-              file=sys.stderr)
-        return 2
-    engine_name = "libclang" if cindex is not None else "fallback"
-
     failures: List[str] = []
     for fixture in fixtures:
-        if cindex is not None:
-            found = scan_boundary_tu_libclang(cindex, fixture, fixture.name)
-        else:
-            found = scan_boundary_tu(fixture, fixture.name)
+        found = scan_boundary_tu(fixture, fixture.name)
         found_adopt = scan_adopt_calls(repo_root, [fixture])
         # Fixtures live outside the allowlist by construction; fold the
         # adopt rule in under the fixture's basename for comparison.
@@ -388,7 +290,7 @@ def self_test(repo_root: pathlib.Path, engine: str) -> int:
         want = sorted(set(expected_fixture_findings(fixture)))
         if got != want:
             failures.append(
-                f"{fixture.name}: engine={engine_name}\n"
+                f"{fixture.name}:\n"
                 f"    want: {want}\n    got:  {got}"
             )
 
@@ -397,8 +299,7 @@ def self_test(repo_root: pathlib.Path, engine: str) -> int:
         for failure in failures:
             print(f"  {failure}", file=sys.stderr)
         return 1
-    print(f"check_sealed self-test passed "
-          f"({len(fixtures)} fixtures, engine={engine_name})")
+    print(f"check_sealed self-test passed ({len(fixtures)} fixtures)")
     return 0
 
 
@@ -452,8 +353,6 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--repo-root", default=".",
                         help="repository root (default: cwd)")
-    parser.add_argument("--engine", choices=("auto", "libclang", "fallback"),
-                        default="auto")
     parser.add_argument("--self-test", action="store_true",
                         help="verify the scanner against its fixtures")
     parser.add_argument("--json", metavar="OUT",
@@ -469,9 +368,9 @@ def main() -> int:
         return 2
 
     if args.self_test:
-        return self_test(repo_root, args.engine)
+        return self_test(repo_root)
 
-    findings = run_scan(repo_root, args.engine)
+    findings = run_scan(repo_root)
     if args.json:
         write_json(findings, args.json)
     if args.sarif:

@@ -97,12 +97,12 @@ class FixtureTest(unittest.TestCase):
 
 class SelfTestEntryPointTest(unittest.TestCase):
     def test_self_test_passes(self) -> None:
-        self.assertEqual(check_sealed.self_test(REPO_ROOT, "fallback"), 0)
+        self.assertEqual(check_sealed.self_test(REPO_ROOT), 0)
 
 
 class ProductionScanTest(unittest.TestCase):
     def test_boundary_tus_are_clean(self) -> None:
-        findings = check_sealed.run_scan(REPO_ROOT, "fallback")
+        findings = check_sealed.run_scan(REPO_ROOT)
         self.assertEqual(
             [f.render() for f in findings], [],
             "the real boundary TUs must stay free of plaintext flows")
