@@ -11,6 +11,8 @@
 #include <string>
 #include <string_view>
 
+#include "crypto/aes.h"
+#include "crypto/hmac.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -22,21 +24,37 @@ constexpr size_t kSealTagSize = 8;
 /// Bytes of nonce prepended by Seal.
 constexpr size_t kSealNonceSize = 8;
 
-/// Raw CTR keystream transform: out = data XOR AES-CTR(key, nonce).
-/// Symmetric: applying it twice with the same arguments restores the input.
-/// `key` must be 16 or 32 bytes.
-StatusOr<std::string> CtrTransform(std::string_view key, uint64_t nonce,
-                                   std::string_view data);
+/// An Encrypt-then-MAC cipher with its key setup done once: the expanded AES
+/// key schedule and the prepared HMAC. Seal and Open do no key work.
+/// Immutable after Create; safe to share across threads.
+class PreparedCipher {
+ public:
+  /// `enc_key` must be 16 or 32 bytes (InvalidArgument otherwise); `mac_key`
+  /// should be independent of it (see DeriveKey).
+  static StatusOr<PreparedCipher> Create(std::string_view enc_key,
+                                         std::string_view mac_key);
 
-/// Authenticated encryption: nonce (8B) || ciphertext || tag (8B).
-/// `enc_key` and `mac_key` should be independent (see DeriveKey).
-StatusOr<std::string> Seal(std::string_view enc_key, std::string_view mac_key,
-                           uint64_t nonce, std::string_view plaintext);
+  /// Raw CTR keystream transform: out = data XOR AES-CTR(enc_key, nonce).
+  /// Symmetric: applying it twice with the same nonce restores the input.
+  std::string CtrTransform(uint64_t nonce, std::string_view data) const;
 
-/// Inverse of Seal. Returns Corruption if the tag does not verify or the
-/// message is malformed.
-StatusOr<std::string> Open(std::string_view enc_key, std::string_view mac_key,
-                           std::string_view sealed);
+  /// Authenticated encryption: nonce (8B BE) || ciphertext || tag (8B).
+  std::string Seal(uint64_t nonce, std::string_view plaintext) const;
+
+  /// Inverse of Seal. Corruption if the tag does not verify or the message
+  /// is malformed.
+  StatusOr<std::string> Open(std::string_view sealed) const;
+
+ private:
+  PreparedCipher(Aes aes, std::string_view mac_key)
+      : aes_(aes), mac_(mac_key) {}
+
+  // XORs the keystream for `nonce` into data[0, len).
+  void ApplyKeystream(uint64_t nonce, char* data, size_t len) const;
+
+  Aes aes_;
+  PreparedHmac mac_;
+};
 
 }  // namespace zr::crypto
 

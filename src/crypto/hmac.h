@@ -1,8 +1,9 @@
 // HMAC-SHA-256 (RFC 2104 / FIPS 198-1).
 //
-// Used to derive per-term keys, term pseudonyms (so the index server sees
-// opaque posting-list identifiers instead of terms), and deterministic
-// "random" TRS values for unseen terms (paper Section 5.1.1).
+// Used to derive per-group keys, authenticate sealed elements, and compute
+// term pseudonyms (so the index server sees opaque posting-list identifiers
+// instead of terms) and deterministic "random" TRS values for unseen terms
+// (paper Section 5.1.1).
 // Validated against the RFC 4231 test vectors.
 
 #ifndef ZERBERR_CRYPTO_HMAC_H_
@@ -16,6 +17,26 @@
 
 namespace zr::crypto {
 
+/// HMAC-SHA-256 under one fixed key, prepared once: holds the SHA-256
+/// states after absorbing the key XOR ipad and key XOR opad blocks, so a MAC
+/// costs only the message's compressions plus one for the outer hash.
+/// Immutable after construction; safe to share across threads.
+class PreparedHmac {
+ public:
+  explicit PreparedHmac(std::string_view key);
+
+  /// HMAC-SHA-256(key, message).
+  Sha256Digest Mac(std::string_view message) const;
+
+  /// First 8 bytes of Mac(message) as a uint64 (big-endian). Handy for
+  /// deterministic pseudo-random values bound to a secret.
+  uint64_t MacTrunc64(std::string_view message) const;
+
+ private:
+  Sha256 inner_;  ///< After absorbing key ^ ipad.
+  Sha256 outer_;  ///< After absorbing key ^ opad.
+};
+
 /// Computes HMAC-SHA-256(key, message).
 Sha256Digest HmacSha256(std::string_view key, std::string_view message);
 
@@ -23,10 +44,6 @@ Sha256Digest HmacSha256(std::string_view key, std::string_view message);
 /// Distinct labels give independent keys from one master secret.
 Sha256Digest DeriveKey(std::string_view master_key, std::string_view label,
                        std::string_view context);
-
-/// First 8 bytes of HMAC(key, message) as a uint64 (big-endian). Handy for
-/// deterministic pseudo-random values bound to a secret.
-uint64_t HmacSha256Trunc64(std::string_view key, std::string_view message);
 
 /// Digest as a std::string of raw bytes (for use as a key).
 std::string DigestToKey(const Sha256Digest& digest);

@@ -1,42 +1,43 @@
 #include "crypto/keys.h"
 
-#include "crypto/hmac.h"
-
 namespace zr::crypto {
 
-KeyStore::KeyStore(std::string_view seed) : drbg_(seed) {
-  directory_key_ = drbg_.GenerateBytes(32);
+KeyStore::KeyStore(std::string_view seed)
+    : drbg_(seed), directory_key_(drbg_.GenerateBytes(32)) {
   nonce_salt_ = drbg_.NextU64();
 }
 
 Status KeyStore::CreateGroup(GroupId group) {
-  if (master_keys_.count(group) > 0) {
+  if (ciphers_.count(group) > 0) {
     return Status::AlreadyExists("group " + std::to_string(group) +
                                  " already registered");
   }
-  master_keys_[group] = drbg_.GenerateBytes(32);
+  std::string master = drbg_.GenerateBytes(32);
+  Sha256Digest enc = DeriveKey(master, "zerber-enc", "");
+  Sha256Digest mac = DeriveKey(master, "zerber-mac", "");
+  ZR_ASSIGN_OR_RETURN(
+      PreparedCipher cipher,
+      PreparedCipher::Create(
+          std::string_view(reinterpret_cast<const char*>(enc.data()), 16),
+          std::string_view(reinterpret_cast<const char*>(mac.data()), 32)));
+  ciphers_.emplace(group, cipher);
   return Status::OK();
 }
 
 bool KeyStore::HasGroup(GroupId group) const {
-  return master_keys_.count(group) > 0;
+  return ciphers_.count(group) > 0;
 }
 
-StatusOr<GroupKeys> KeyStore::GetGroupKeys(GroupId group) const {
-  auto it = master_keys_.find(group);
-  if (it == master_keys_.end()) {
+StatusOr<const PreparedCipher*> KeyStore::Cipher(GroupId group) const {
+  auto it = ciphers_.find(group);
+  if (it == ciphers_.end()) {
     return Status::NotFound("no keys for group " + std::to_string(group));
   }
-  GroupKeys keys;
-  Sha256Digest enc = DeriveKey(it->second, "zerber-enc", "");
-  Sha256Digest mac = DeriveKey(it->second, "zerber-mac", "");
-  keys.enc_key.assign(reinterpret_cast<const char*>(enc.data()), 16);
-  keys.mac_key.assign(reinterpret_cast<const char*>(mac.data()), 32);
-  return keys;
+  return &it->second;
 }
 
 uint64_t KeyStore::TermPseudonym(std::string_view term) const {
-  return HmacSha256Trunc64(directory_key_, term);
+  return directory_key_.MacTrunc64(term);
 }
 
 double KeyStore::DeterministicUnit(std::string_view term,
@@ -46,7 +47,7 @@ double KeyStore::DeterministicUnit(std::string_view term,
   for (int i = 0; i < 8; ++i) {
     message.push_back(static_cast<char>(context >> (56 - 8 * i)));
   }
-  uint64_t v = HmacSha256Trunc64(directory_key_, message);
+  uint64_t v = directory_key_.MacTrunc64(message);
   return static_cast<double>(v >> 11) * 0x1.0p-53;
 }
 

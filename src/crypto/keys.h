@@ -2,8 +2,12 @@
 //
 // In the Zerber model (paper Sections 2-3) documents belong to collaboration
 // groups; members of a group share key material that the index server never
-// sees. The KeyStore holds per-group master secrets and derives independent
-// encryption/MAC subkeys, plus a corpus-wide directory key used to map terms
+// sees. The KeyStore draws a master secret per group, derives independent
+// encryption/MAC subkeys from it once, when the group is created, and keeps
+// only the group's PreparedCipher (crypto/ctr.h): the expanded AES-128 key
+// schedule plus the HMAC-SHA-256 states after the ipad and opad blocks.
+// Sealing or opening a posting element therefore does no key derivation or
+// key setup. A corpus-wide directory key, prepared the same way, maps terms
 // to opaque pseudonyms so the server only ever sees posting-list IDs.
 
 #ifndef ZERBERR_CRYPTO_KEYS_H_
@@ -15,7 +19,9 @@
 #include <string>
 #include <string_view>
 
+#include "crypto/ctr.h"
 #include "crypto/drbg.h"
+#include "crypto/hmac.h"
 #include "util/status.h"
 #include "util/statusor.h"
 
@@ -23,12 +29,6 @@ namespace zr::crypto {
 
 /// Identifier of a collaboration group.
 using GroupId = uint32_t;
-
-/// Derived key pair for sealing posting elements of one group.
-struct GroupKeys {
-  std::string enc_key;  ///< 16-byte AES-128 key.
-  std::string mac_key;  ///< 32-byte HMAC key.
-};
 
 /// Client-side key store. The index server has no access to an instance of
 /// this class; it only ever handles sealed bytes and pseudonymous IDs.
@@ -38,15 +38,17 @@ class KeyStore {
   /// (reproducible experiments). Use a high-entropy seed in production.
   explicit KeyStore(std::string_view seed);
 
-  /// Registers a group and generates its master secret.
-  /// AlreadyExists if the group was registered before.
+  /// Registers a group: generates its master secret, derives its 16-byte
+  /// AES-128 key and 32-byte HMAC key under distinct labels, and prepares
+  /// its cipher. AlreadyExists if the group was registered before.
   Status CreateGroup(GroupId group);
 
   /// True if the group exists.
   bool HasGroup(GroupId group) const;
 
-  /// Derived encryption + MAC keys for a group. NotFound if unknown.
-  StatusOr<GroupKeys> GetGroupKeys(GroupId group) const;
+  /// The group's prepared cipher. NotFound if unknown. The pointer stays
+  /// valid for the store's lifetime (groups are never removed).
+  StatusOr<const PreparedCipher*> Cipher(GroupId group) const;
 
   /// Deterministic pseudonym of a term under the directory key. The server
   /// observes pseudonyms (as posting-list lookup keys), never terms.
@@ -63,9 +65,9 @@ class KeyStore {
   uint64_t NextNonce();
 
  private:
-  std::string directory_key_;
-  std::map<GroupId, std::string> master_keys_;
-  Drbg drbg_;
+  Drbg drbg_;  // Declared first: the constructor draws directory_key_ from it.
+  PreparedHmac directory_key_;
+  std::map<GroupId, PreparedCipher> ciphers_;
   std::atomic<uint64_t> nonce_counter_{0};
   uint64_t nonce_salt_ = 0;
 };

@@ -1,16 +1,35 @@
 #include "text/document.h"
 
+#include <algorithm>
+
 namespace zr::text {
+
+namespace {
+
+// First entry whose term id is not less than `term`.
+template <typename Vec>
+auto LowerBound(Vec& tf, TermId term) {
+  return std::lower_bound(
+      tf.begin(), tf.end(), term,
+      [](const auto& entry, TermId t) { return entry.first < t; });
+}
+
+}  // namespace
 
 void Document::AddTerm(TermId term, uint32_t count) {
   if (count == 0) return;
-  tf_[term] += count;
+  auto it = LowerBound(tf_, term);
+  if (it != tf_.end() && it->first == term) {
+    it->second += count;
+  } else {
+    tf_.emplace(it, term, count);
+  }
   length_ += count;
 }
 
 uint32_t Document::TermFrequency(TermId term) const {
-  auto it = tf_.find(term);
-  return it == tf_.end() ? 0 : it->second;
+  auto it = LowerBound(tf_, term);
+  return it != tf_.end() && it->first == term ? it->second : 0;
 }
 
 double Document::RelevanceScore(TermId term) const {

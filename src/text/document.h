@@ -4,8 +4,7 @@
 #define ZERBERR_TEXT_DOCUMENT_H_
 
 #include <cstdint>
-#include <map>
-#include <string>
+#include <utility>
 #include <vector>
 
 #include "text/vocabulary.h"
@@ -41,13 +40,16 @@ class Document {
   /// rscore(t, d) = TF_t / |d|. Returns 0 for absent terms or empty docs.
   double RelevanceScore(TermId term) const;
 
-  /// All (term, frequency) pairs in ascending term-id order.
-  const std::map<TermId, uint32_t>& terms() const { return tf_; }
+  /// All (term, frequency) pairs in ascending term-id order, one per
+  /// distinct term.
+  const std::vector<std::pair<TermId, uint32_t>>& terms() const { return tf_; }
 
  private:
   DocId id_;
   uint32_t group_;
-  std::map<TermId, uint32_t> tf_;
+  // Sorted by term id: a flat vector instead of a map node per term, since
+  // a corpus holds one entry per (document, distinct term).
+  std::vector<std::pair<TermId, uint32_t>> tf_;
   uint64_t length_ = 0;
 };
 

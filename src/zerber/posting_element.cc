@@ -1,9 +1,10 @@
 #include "zerber/posting_element.h"
 
-#include "crypto/ctr.h"
 #include "util/coding.h"
 
 namespace zr::zerber {
+
+char& SealedBytes::operator[](size_t i) { return block_[kHeader + i]; }
 
 size_t EncryptedPostingElement::WireSize() const {
   return static_cast<size_t>(VarintLength32(group)) +
@@ -32,27 +33,24 @@ StatusOr<PostingPayload> ParsePayload(std::string_view data) {
 StatusOr<EncryptedPostingElement> SealPostingElement(
     const PostingPayload& payload, crypto::GroupId group, double trs,
     crypto::KeyStore* keys) {
-  ZR_ASSIGN_OR_RETURN(crypto::GroupKeys gk, keys->GetGroupKeys(group));
-  ZR_ASSIGN_OR_RETURN(
-      std::string sealed,
-      crypto::Seal(gk.enc_key, gk.mac_key, keys->NextNonce(),
-                   SerializePayload(payload)));
+  ZR_ASSIGN_OR_RETURN(const crypto::PreparedCipher* cipher,
+                      keys->Cipher(group));
   EncryptedPostingElement element;
   element.group = group;
   element.trs = trs;
-  element.sealed = SealedBytes::Adopt(std::move(sealed));
+  element.sealed = SealedBytes::Adopt(
+      cipher->Seal(keys->NextNonce(), SerializePayload(payload)));
   return element;
 }
 
 StatusOr<PostingPayload> OpenPostingElement(
     const EncryptedPostingElement& element, const crypto::KeyStore& keys) {
-  auto gk = keys.GetGroupKeys(element.group);
-  if (!gk.ok()) {
+  auto cipher = keys.Cipher(element.group);
+  if (!cipher.ok()) {
     return Status::PermissionDenied("no keys for group " +
                                     std::to_string(element.group));
   }
-  ZR_ASSIGN_OR_RETURN(std::string plain,
-                      crypto::Open(gk->enc_key, gk->mac_key, element.sealed));
+  ZR_ASSIGN_OR_RETURN(std::string plain, (*cipher)->Open(element.sealed));
   return ParsePayload(plain);
 }
 

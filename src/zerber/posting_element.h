@@ -13,8 +13,10 @@
 #define ZERBERR_ZERBER_POSTING_ELEMENT_H_
 
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
+#include <utility>
 
 #include "crypto/keys.h"
 #include "text/document.h"
@@ -34,45 +36,89 @@ struct PostingPayload {
   friend bool operator==(const PostingPayload&, const PostingPayload&) = default;
 };
 
-/// Ciphertext produced by crypto::Seal, as a distinct type.
+/// Ciphertext produced by crypto::PreparedCipher::Seal, as a distinct type.
 ///
 /// The confidential boundary of the system: anything crossing to the
 /// untrusted server — frame encoders in net/, WAL appends in store/ — must
 /// be sealed. Keeping sealed bytes in their own type makes that boundary
 /// checkable: a raw std::string (potential plaintext) cannot be assigned
-/// into a sealed slot; it must come out of crypto::Seal or be explicitly
-/// adopted at a deserialization boundary. tools/check_sealed.py audits both
-/// the Adopt call sites and the raw flows this type cannot see.
+/// into a sealed slot; it must come out of Seal or be explicitly adopted at
+/// a deserialization boundary. tools/check_sealed.py audits both the Adopt
+/// call sites and the raw flows this type cannot see.
+///
+/// One pointer wide: the bytes live in a single heap block behind a size_t
+/// length prefix (no block when empty). The index server holds one per
+/// posting element and shifts them on every sorted insert and erase, so
+/// each element stays small.
 class SealedBytes {
  public:
   SealedBytes() = default;
-
-  /// Wraps bytes that are already ciphertext: crypto::Seal output, or bytes
-  /// read back from a frame/WAL that themselves came from Seal. Every call
-  /// site is a trust assertion; tools/check_sealed.py allowlists the files
-  /// that may make it.
-  static SealedBytes Adopt(std::string bytes) {
-    return SealedBytes(std::move(bytes));
+  SealedBytes(const SealedBytes& other) : block_(Allocate(other.view())) {}
+  SealedBytes(SealedBytes&& other) noexcept
+      : block_(std::exchange(other.block_, nullptr)) {}
+  SealedBytes& operator=(const SealedBytes& other) {
+    if (this != &other) *this = SealedBytes(other);
+    return *this;
   }
+  // Steals rather than swaps: a vector shifting elements on insert/erase
+  // chains move-assignments through neighbouring slots, and a swap makes
+  // each one wait on the previous store.
+  SealedBytes& operator=(SealedBytes&& other) noexcept {
+    if (this != &other) {
+      delete[] block_;
+      block_ = std::exchange(other.block_, nullptr);
+    }
+    return *this;
+  }
+  ~SealedBytes() { delete[] block_; }
+
+  /// Wraps bytes that are already ciphertext: Seal output, or bytes read
+  /// back from a frame/WAL that themselves came from Seal. Every call site
+  /// is a trust assertion; tools/check_sealed.py allowlists the files that
+  /// may make it.
   static SealedBytes Adopt(std::string_view bytes) {
-    return SealedBytes(std::string(bytes));
+    return SealedBytes(Allocate(bytes));
   }
 
   /// Reading sealed bytes is unrestricted — they are ciphertext.
-  operator std::string_view() const { return bytes_; }
-  std::string_view view() const { return bytes_; }
-  size_t size() const { return bytes_.size(); }
-  bool empty() const { return bytes_.empty(); }
+  operator std::string_view() const { return view(); }
+  std::string_view view() const {
+    return block_ == nullptr ? std::string_view()
+                             : std::string_view(block_ + kHeader, size());
+  }
+  size_t size() const {
+    size_t n = 0;
+    if (block_ != nullptr) std::memcpy(&n, block_, kHeader);
+    return n;
+  }
+  bool empty() const { return block_ == nullptr; }
 
   /// Mutable byte access (tamper-injection tests flip ciphertext bits).
-  char& operator[](size_t i) { return bytes_[i]; }
-  char operator[](size_t i) const { return bytes_[i]; }
+  /// Out of line: inlined after a copy, gcc follows the empty (null block)
+  /// branch and reports the write as -Wstringop-overflow.
+  char& operator[](size_t i);
+  char operator[](size_t i) const { return block_[kHeader + i]; }
 
-  friend bool operator==(const SealedBytes&, const SealedBytes&) = default;
+  friend bool operator==(const SealedBytes& a, const SealedBytes& b) {
+    return a.view() == b.view();
+  }
 
  private:
-  explicit SealedBytes(std::string bytes) : bytes_(std::move(bytes)) {}
-  std::string bytes_;
+  static constexpr size_t kHeader = sizeof(size_t);
+
+  explicit SealedBytes(char* block) : block_(block) {}
+
+  // A length-prefixed copy of `bytes`; nullptr when empty.
+  static char* Allocate(std::string_view bytes) {
+    if (bytes.empty()) return nullptr;
+    size_t n = bytes.size();
+    char* block = new char[kHeader + n];
+    std::memcpy(block, &n, kHeader);
+    std::memcpy(block + kHeader, bytes.data(), n);
+    return block;
+  }
+
+  char* block_ = nullptr;
 };
 
 /// A posting element as stored on the (untrusted) index server.
@@ -89,7 +135,7 @@ struct EncryptedPostingElement {
   /// Transformed relevance score in [0, 1] (server-visible sort key).
   double trs = 0.0;
 
-  /// Seal(enc_key, mac_key, nonce, serialized PostingPayload).
+  /// The group cipher's Seal(nonce, serialized PostingPayload).
   SealedBytes sealed;
 
   /// Serialized wire size in bytes.

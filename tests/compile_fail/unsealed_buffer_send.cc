@@ -1,5 +1,5 @@
 // Negative-compile: a raw std::string (potential plaintext) must not flow
-// into the sealed slot of a posting element. Only crypto::Seal output —
+// into the sealed slot of a posting element. Only a cipher's Seal output —
 // adopted at a boundary tools/check_sealed.py audits — may cross to the
 // untrusted server. Unlike the thread-safety snippets this one fails on
 // every compiler: SealedBytes has no public constructor from raw bytes.

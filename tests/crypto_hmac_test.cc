@@ -75,12 +75,31 @@ TEST(HmacTrunc64Test, MatchesFullDigestPrefix) {
   Sha256Digest full = HmacSha256("k", "m");
   uint64_t expected = 0;
   for (int i = 0; i < 8; ++i) expected = (expected << 8) | full[i];
-  EXPECT_EQ(HmacSha256Trunc64("k", "m"), expected);
+  EXPECT_EQ(PreparedHmac("k").MacTrunc64("m"), expected);
 }
 
 TEST(HmacTrunc64Test, Deterministic) {
-  EXPECT_EQ(HmacSha256Trunc64("key", "msg"), HmacSha256Trunc64("key", "msg"));
-  EXPECT_NE(HmacSha256Trunc64("key", "msg"), HmacSha256Trunc64("key", "msh"));
+  PreparedHmac key("key");
+  EXPECT_EQ(key.MacTrunc64("msg"), key.MacTrunc64("msg"));
+  EXPECT_NE(key.MacTrunc64("msg"), key.MacTrunc64("msh"));
+}
+
+TEST(PreparedHmacTest, ReusedKeyMatchesRfc4231) {
+  // One prepared key serves many messages: each MAC starts from the stored
+  // midstates and must not disturb them.
+  PreparedHmac key(std::string(131, '\xaa'));
+  for (int round = 0; round < 2; ++round) {
+    EXPECT_EQ(
+        DigestToHex(key.Mac(
+            "Test Using Larger Than Block-Size Key - Hash Key First")),
+        "60e431591ee0b67f0d8a26aacbf5b77f8e0bc6213728c5140546040f0ee37f54");
+    EXPECT_EQ(
+        DigestToHex(key.Mac(
+            "This is a test using a larger than block-size key and a larger "
+            "than block-size data. The key needs to be hashed before being "
+            "used by the HMAC algorithm.")),
+        "9b09ffa71b942fcb27635fbcd5b0e944bfdc63644f0713938a7f51535c3a35e2");
+  }
 }
 
 TEST(DigestToKeyTest, ProducesRawBytes) {

@@ -76,6 +76,33 @@ TEST(Sha256Test, ExactBlockSizeMessage) {
   EXPECT_EQ(DigestToHex(a.Finish()), DigestToHex(b.Finish()));
 }
 
+TEST(Sha256Test, PaddingBoundaryLengths) {
+  // Prefixes of the million-'a' vector at the lengths where Finish's
+  // padding changes shape: 55 is the longest message whose 0x80 byte and
+  // length fit in its last block, 56..63 spill the length into a second
+  // block, 64 and 119 end exactly on or just before a block boundary.
+  // Digests from an independent SHA-256 implementation.
+  const struct {
+    size_t length;
+    const char* hex;
+  } kCases[] = {
+      {0, "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"},
+      {55, "9f4390f8d30c2dd92ec9f095b65e2b9ae9b0a925a5258e241c9f1e910f734318"},
+      {56, "b35439a4ac6f0948b6d6f9e3c6af0f5f590ce20f1bde7090ef7970686ec6738a"},
+      {63, "7d3e74a05d7db15bce4ad9ec0658ea98e3f06eeecf16b4c6fff2da457ddc2f34"},
+      {64, "ffe054fe7ae0cb6dc65c3af9b61d5209f439851db43d0ba5997337df154668eb"},
+      {119,
+       "31eba51c313a5c08226adf18d4a359cfdfd8d2e816b13f4af952f7ea6584dcfb"},
+  };
+  for (const auto& c : kCases) {
+    std::string msg(c.length, 'a');
+    EXPECT_EQ(HexOf(msg), c.hex) << "length " << c.length;
+    Sha256 bytewise;
+    for (char ch : msg) bytewise.Update(std::string_view(&ch, 1));
+    EXPECT_EQ(DigestToHex(bytewise.Finish()), c.hex) << "length " << c.length;
+  }
+}
+
 TEST(Sha256Test, DistinctInputsDistinctDigests) {
   EXPECT_NE(HexOf("abc"), HexOf("abd"));
   EXPECT_NE(HexOf("abc"), HexOf("abc "));

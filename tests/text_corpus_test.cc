@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 namespace zr::text {
 namespace {
 
@@ -15,6 +18,21 @@ TEST(DocumentTest, TermFrequenciesAndLength) {
   EXPECT_EQ(doc.TermFrequency(30), 0u);
   EXPECT_EQ(doc.Length(), 6u);
   EXPECT_EQ(doc.DistinctTerms(), 2u);
+}
+
+TEST(DocumentTest, OutOfOrderAndRepeatedTermsIterateSortedAndMerged) {
+  Document doc(0, 1);
+  for (TermId t : {50u, 7u, 50u, 0u, 1000u, 7u, 7u, 3u}) doc.AddTerm(t);
+  doc.AddTerm(3, 4);
+  using Entry = std::pair<TermId, uint32_t>;
+  std::vector<Entry> expected = {{0, 1}, {3, 5}, {7, 3}, {50, 2}, {1000, 1}};
+  std::vector<Entry> seen(doc.terms().begin(), doc.terms().end());
+  EXPECT_EQ(seen, expected);
+  EXPECT_EQ(doc.DistinctTerms(), 5u);
+  EXPECT_EQ(doc.Length(), 12u);
+  EXPECT_EQ(doc.TermFrequency(3), 5u);
+  EXPECT_EQ(doc.TermFrequency(4), 0u);
+  EXPECT_EQ(doc.TermFrequency(2000), 0u);
 }
 
 TEST(DocumentTest, ZeroCountAddIsNoop) {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <utility>
+
 namespace zr::zerber {
 namespace {
 
@@ -13,6 +16,49 @@ class PostingElementTest : public ::testing::Test {
   }
   crypto::KeyStore keys_;
 };
+
+TEST(SealedBytesTest, CopyMoveSelfAssignAndEmpty) {
+  SealedBytes empty;
+  EXPECT_TRUE(empty.empty());
+  EXPECT_EQ(empty.size(), 0u);
+  EXPECT_EQ(empty.view(), "");
+  EXPECT_EQ(empty, SealedBytes::Adopt(std::string_view()));
+
+  SealedBytes a = SealedBytes::Adopt(std::string_view("ciphertext\0bytes", 16));
+  EXPECT_FALSE(a.empty());
+  EXPECT_EQ(a.size(), 16u);
+  EXPECT_EQ(a.view(), std::string_view("ciphertext\0bytes", 16));
+  EXPECT_EQ(a[10], '\0');
+
+  SealedBytes copy(a);  // deep copy: mutating one leaves the other alone
+  EXPECT_EQ(copy, a);
+  copy[0] = 'C';
+  EXPECT_EQ(copy.view().substr(0, 4), "Ciph");
+  EXPECT_EQ(a.view().substr(0, 4), "ciph");
+  EXPECT_NE(copy, a);
+
+  copy = a;  // copy-assign over a non-empty value
+  EXPECT_EQ(copy, a);
+  SealedBytes& alias = copy;
+  copy = alias;  // self copy-assign
+  EXPECT_EQ(copy, a);
+  copy = std::move(alias);  // self move-assign
+  EXPECT_EQ(copy, a);
+
+  SealedBytes moved(std::move(copy));
+  EXPECT_EQ(moved, a);
+  SealedBytes target = SealedBytes::Adopt(std::string_view("old"));
+  target = std::move(moved);
+  EXPECT_EQ(target, a);
+
+  target = empty;  // back to empty
+  EXPECT_TRUE(target.empty());
+  EXPECT_EQ(target, empty);
+  EXPECT_EQ(sizeof(SealedBytes), sizeof(void*));
+  if (sizeof(void*) == 8) {
+    EXPECT_EQ(sizeof(EncryptedPostingElement), 32u);
+  }
+}
 
 TEST_F(PostingElementTest, PayloadSerializationRoundTrip) {
   PostingPayload p{42, 1234, 0.375};

@@ -3,10 +3,10 @@
 
 The paper's server is untrusted: everything it stores or receives beyond
 ACL metadata must be ciphertext (zerber::SealedBytes, produced by
-crypto::Seal). This lint audits the boundary translation units — the frame
-encoders in src/net/messages.* and the WAL writer in src/store/wal.* plus
-tools/shard_server.cc — and fails when plaintext-typed values flow into
-them.
+crypto::PreparedCipher::Seal). This lint audits the boundary translation
+units — the frame encoders in src/net/messages.* and the WAL writer in
+src/store/wal.* plus tools/shard_server.cc — and fails when plaintext-typed
+values flow into them.
 
 Three rules:
 
@@ -71,8 +71,8 @@ BOUNDARY_FILES = (
 )
 
 # Files allowed to call SealedBytes::Adopt: the seal/open implementations
-# themselves, where bytes provably come from crypto::Seal or from parsing
-# previously sealed frames.
+# themselves, where bytes provably come from a group cipher's Seal or from
+# parsing previously sealed frames.
 ADOPT_ALLOWLIST = (
     "src/zerber/posting_element.cc",
     "src/zerber/document_store.cc",
@@ -201,7 +201,7 @@ def scan_boundary_tu(path: pathlib.Path, rel: str) -> List[Finding]:
                             lineno,
                             RULE_TAINT,
                             f"'{var}' (from {origin}) flows into byte "
-                            f"sink {sink.group(1)} without crypto::Seal",
+                            f"sink {sink.group(1)} without sealing",
                         )
                     )
     return findings

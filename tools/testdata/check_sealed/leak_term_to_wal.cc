@@ -1,7 +1,7 @@
 // Fixture: opening a sealed element inside the WAL writer and appending
 // the recovered plaintext term bytes to a log record. The WAL lives on
 // server-controlled disk, so everything appended must stay ciphertext;
-// crypto::Open belongs on the trusted client side only.
+// crypto::PreparedCipher::Open belongs on the trusted client side only.
 
 #include <string>
 
