@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <thread>
 #include <utility>
 
@@ -11,28 +12,33 @@ namespace zr::cluster {
 
 namespace {
 
-/// Records a kRouterFanout span around one shard hop when the calling
-/// thread carries an active trace (no-op otherwise). Span detail is the
-/// shard index — a topology coordinate, never index content.
+/// Start of a kRouterFanout span: now when the calling thread carries an
+/// active trace, 0 (nothing to record) otherwise.
+uint64_t FanoutStart() {
+  return obs::CurrentTrace().active() ? obs::MonotonicNowNs() : 0;
+}
+
+/// Records the kRouterFanout span of one shard hop begun at `start_ns`.
+/// Span detail is the shard index — a topology coordinate, never index
+/// content.
+void RecordFanout(size_t shard, uint64_t start_ns) {
+  if (start_ns == 0) return;
+  obs::RecordSpan(obs::Stage::kRouterFanout,
+                  obs::MonotonicNowNs() - start_ns, shard);
+}
+
+/// A kRouterFanout span around one single-shard hop.
 class FanoutSpan {
  public:
-  explicit FanoutSpan(size_t shard)
-      : traced_(obs::CurrentTrace().active()),
-        shard_(shard),
-        start_(traced_ ? obs::MonotonicNowNs() : 0) {}
+  explicit FanoutSpan(size_t shard) : shard_(shard), start_(FanoutStart()) {}
 
   FanoutSpan(const FanoutSpan&) = delete;
   FanoutSpan& operator=(const FanoutSpan&) = delete;
 
-  ~FanoutSpan() {
-    if (!traced_) return;
-    obs::RecordSpan(obs::Stage::kRouterFanout,
-                    obs::MonotonicNowNs() - start_, shard_);
-  }
+  ~FanoutSpan() { RecordFanout(shard_, start_); }
 
  private:
-  bool traced_;
-  uint64_t shard_;
+  size_t shard_;
   uint64_t start_;
 };
 
@@ -140,34 +146,49 @@ StatusOr<net::MultiFetchResponse> RouterService::MultiFetch(
   response.responses.resize(fetches.size());
 
   // Group ranges by owning shard; one sub-MultiFetch per shard with work.
-  std::vector<std::vector<size_t>> by_shard(shards_.size());
+  struct ShardBatch {
+    std::vector<size_t> ranges;  // indices into the request, ascending
+    std::optional<ShardClient::PendingMultiFetch> pending;
+    uint64_t span_start = 0;
+  };
+  std::vector<ShardBatch> batches(shards_.size());
   for (size_t i = 0; i < fetches.size(); ++i) {
-    by_shard[ShardOfList(fetches[i].list)].push_back(i);
+    batches[ShardOfList(fetches[i].list)].ranges.push_back(i);
   }
 
-  // Shards are called one after another, in shard order, and every one is
-  // called even after another failed. On multiple failing shards, surface
-  // the error of the shard whose batch starts earliest in the request
-  // (ranges group in order, so this is the error an in-order range-by-range
-  // execution would have hit first), whatever the shard order.
-  size_t first_error_index = static_cast<size_t>(-1);
-  Status first_error = Status::OK();
-  for (size_t s = 0; s < by_shard.size(); ++s) {
-    if (by_shard[s].empty()) continue;
+  // Scatter: send every shard's batch before receiving any, so the shards
+  // serve their batches at the same time.
+  for (size_t s = 0; s < batches.size(); ++s) {
+    ShardBatch& batch = batches[s];
+    if (batch.ranges.empty()) continue;
     net::MultiFetchRequest sub;
     sub.user = request.user;
-    sub.fetches.reserve(by_shard[s].size());
-    for (size_t idx : by_shard[s]) {
+    sub.fetches.reserve(batch.ranges.size());
+    for (size_t idx : batch.ranges) {
       net::FetchRange local = fetches[idx];
       local.list = LocalListId(local.list);
       sub.fetches.push_back(local);
     }
-    FanoutSpan span(s);
-    auto fetched = shards_[s]->MultiFetch(sub);
-    if (!fetched.ok() ||
-        fetched->responses.size() != by_shard[s].size()) {
-      if (by_shard[s].front() < first_error_index) {
-        first_error_index = by_shard[s].front();
+    batch.span_start = FanoutStart();
+    batch.pending.emplace(shards_[s]->StartMultiFetch(sub));
+  }
+
+  // Gather in shard order; a batch whose send or receive failed finishes
+  // through the shard client's retry loop. Every shard is finished even
+  // after another failed. On multiple failing shards, surface the error of
+  // the shard whose batch starts earliest in the request (ranges group in
+  // order, so this is the error an in-order range-by-range execution would
+  // have hit first), whatever the shard order.
+  size_t first_error_index = static_cast<size_t>(-1);
+  Status first_error = Status::OK();
+  for (size_t s = 0; s < batches.size(); ++s) {
+    ShardBatch& batch = batches[s];
+    if (!batch.pending.has_value()) continue;
+    auto fetched = shards_[s]->FinishMultiFetch(std::move(*batch.pending));
+    RecordFanout(s, batch.span_start);
+    if (!fetched.ok() || fetched->responses.size() != batch.ranges.size()) {
+      if (batch.ranges.front() < first_error_index) {
+        first_error_index = batch.ranges.front();
         first_error = fetched.ok()
                           ? Status::Internal("shard " + std::to_string(s) +
                                              ": short multifetch response")
@@ -175,8 +196,8 @@ StatusOr<net::MultiFetchResponse> RouterService::MultiFetch(
       }
       continue;
     }
-    for (size_t i = 0; i < by_shard[s].size(); ++i) {
-      net::QueryResponse& out = response.responses[by_shard[s][i]];
+    for (size_t i = 0; i < batch.ranges.size(); ++i) {
+      net::QueryResponse& out = response.responses[batch.ranges[i]];
       out = std::move(fetched->responses[i]);
       out.wire_size = 0;  // shard-hop accounting is not the client's
     }

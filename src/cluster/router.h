@@ -17,19 +17,25 @@
 //    are already global by residue construction).
 //  * MultiFetch — validate every range upfront (atomic failure, identical
 //    to ShardedIndexService), group ranges by owning shard into one
-//    sub-MultiFetch per shard (one round trip each), call the shards one
-//    after another on the calling thread, reassemble responses in request
-//    order. A dead shard fails fast with Status::Unavailable (circuit
-//    breaker) instead of stalling the healthy shards' results.
+//    sub-MultiFetch per shard, scatter-gather: send every shard's batch,
+//    then receive the responses in shard order, so the shards serve at
+//    the same time and the call waits about as long as its slowest shard.
+//    Responses are reassembled in request order. A batch whose send or
+//    receive failed finishes through ShardClient's retry loop; a dead
+//    shard fails fast with Status::Unavailable (circuit breaker) instead
+//    of stalling the healthy shards' results.
 //
 // Failure semantics are ShardClient's: bounded retries with backoff for
 // idempotent ops, fail-fast Unavailable while a shard's breaker is open,
 // and automatic rejoin after a health probe verifies a restarted shard.
 //
 // Threading: the request path is thread-safe because ShardClient is, and a
-// backend call never hops threads — every shard hop of a request runs on
-// the thread that made it, like ShardedIndexService. The operator surface
-// (ACL broadcast) requires the same quiescence as every other backend.
+// backend call never hops threads — every shard hop of a request, both
+// halves of a scatter-gather included, runs on the thread that made it,
+// like ShardedIndexService; the overlap comes from having several
+// requests in flight on that thread, not from more threads. The operator
+// surface (ACL broadcast) requires the same quiescence as every other
+// backend.
 
 #ifndef ZERBERR_CLUSTER_ROUTER_H_
 #define ZERBERR_CLUSTER_ROUTER_H_

@@ -72,6 +72,11 @@ ShardClientStats ShardClient::stats() const {
   return stats_;
 }
 
+size_t ShardClient::idle_sessions() const {
+  MutexLock lock(mu_);
+  return pool_.size();
+}
+
 Status ShardClient::Admit() {
   {
     MutexLock lock(mu_);
@@ -138,78 +143,89 @@ Status ShardClient::Probe() {
   return probed;
 }
 
-Status ShardClient::Exchange(const std::string& request_wire, bool idempotent,
-                             std::string* response_wire) {
-  Backoff retry(options_.retry_backoff);
-  Status last = Status::OK();
-  for (size_t attempt = 0; attempt < options_.max_attempts; ++attempt) {
-    if (attempt > 0) {
-      {
-        MutexLock lock(mu_);
-        ++stats_.retries;
-      }
-      std::this_thread::sleep_for(
-          std::chrono::milliseconds(retry.NextDelayMs()));
-    }
-    Status admitted = Admit();
-    if (!admitted.ok()) {
-      // Fail fast: the breaker is open (or the half-open probe failed);
-      // in-op retries would only stack more sleeps onto a dead shard.
-      MutexLock lock(mu_);
-      ++stats_.unavailable;
-      return admitted;
-    }
-    std::unique_ptr<net::TcpSession> session = Checkout();
+ShardClient::Attempt ShardClient::Send(const std::string& request_wire) {
+  Attempt attempt;
+  attempt.status = Admit();
+  if (!attempt.status.ok()) {
+    // Fail fast: the breaker is open (or the half-open probe failed);
+    // in-op retries would only stack more sleeps onto a dead shard.
+    MutexLock lock(mu_);
+    ++stats_.unavailable;
+    return attempt;
+  }
+  attempt.session = Checkout();
+  {
+    MutexLock lock(mu_);
+    ++stats_.attempts;
+  }
+  // When the calling thread carries a trace, SendFrame attaches the
+  // context to the request frame and RecvFrame harvests the server's span
+  // report; the hop is timed from here so the trace attributes wire time
+  // per attempt (only the successful attempt is recorded).
+  if (obs::CurrentTrace().active()) {
+    attempt.hop_start_ns = obs::MonotonicNowNs();
+  }
+  attempt.status = attempt.session->SendFrame(request_wire);
+  if (!attempt.status.ok()) {
+    attempt.session.reset();
+    if (attempt.status.IsInvalidArgument()) return attempt;  // oversized
     {
       MutexLock lock(mu_);
-      ++stats_.attempts;
+      ++stats_.transport_errors;
     }
-    // When the calling thread carries a trace, SendFrame attaches the
-    // context to the request frame and RecvFrame harvests the server's
-    // span report; time the hop here so the trace attributes wire time
-    // per attempt (only the successful attempt is recorded).
-    const bool traced = obs::CurrentTrace().active();
-    const uint64_t hop_start = traced ? obs::MonotonicNowNs() : 0;
-    Status sent = session->SendFrame(request_wire);
-    if (!sent.ok()) {
-      if (sent.IsInvalidArgument()) return sent;  // oversized, not a dead link
-      {
-        MutexLock lock(mu_);
-        ++stats_.transport_errors;
-      }
-      RecordFailure();
-      last = sent;
-      continue;  // nothing reached the server — safe for every op
+    RecordFailure();
+    attempt.retryable = true;  // nothing reached the server: safe for every op
+  }
+  return attempt;
+}
+
+void ShardClient::Receive(const std::string& request_wire, bool idempotent,
+                          Attempt* attempt, std::string* response_wire) {
+  attempt->status = attempt->session->RecvFrame(response_wire);
+  if (!attempt->status.ok()) {
+    attempt->session.reset();
+    {
+      MutexLock lock(mu_);
+      ++stats_.transport_errors;
     }
-    Status received = session->RecvFrame(response_wire);
-    if (!received.ok()) {
-      {
-        MutexLock lock(mu_);
-        ++stats_.transport_errors;
-      }
-      RecordFailure();
-      if (!idempotent) {
-        // The request was sent; the shard may or may not have applied it.
-        // Surface the transport error rather than risk a double apply.
-        return received;
-      }
-      last = received;
-      continue;
+    RecordFailure();
+    // The request was sent; the shard may or may not have applied it. Only
+    // an idempotent op is re-sent; the others surface the transport error
+    // rather than risk a double apply.
+    attempt->retryable = idempotent;
+    return;
+  }
+  if (obs::CurrentTrace().active()) {
+    obs::RecordSpan(obs::Stage::kTransport,
+                    obs::MonotonicNowNs() - attempt->hop_start_ns,
+                    static_cast<uint64_t>(net::TagOf(request_wire)));
+    // Re-record the server-side spans that rode back on the response
+    // frame, so the client's tracer holds the complete cross-process
+    // trace (RecordSpan stamps the current trace id).
+    for (const obs::SpanRecord& span : attempt->session->response_spans()) {
+      obs::RecordSpan(span.stage, span.duration_ns, span.detail);
     }
-    if (traced) {
-      obs::RecordSpan(obs::Stage::kTransport,
-                      obs::MonotonicNowNs() - hop_start,
-                      static_cast<uint64_t>(net::TagOf(request_wire)));
-      // Re-record the server-side spans that rode back on the response
-      // frame, so the client's tracer holds the complete cross-process
-      // trace (RecordSpan stamps the current trace id).
-      for (const obs::SpanRecord& span : session->response_spans()) {
-        obs::RecordSpan(span.stage, span.duration_ns, span.detail);
-      }
+  }
+  RecordSuccess();
+  Return(std::move(attempt->session));
+}
+
+Status ShardClient::Complete(const std::string& request_wire, bool idempotent,
+                             Attempt attempt, std::string* response_wire) {
+  Backoff retry(options_.retry_backoff);
+  for (size_t attempts = 1;; ++attempts) {
+    if (attempt.status.ok()) {
+      Receive(request_wire, idempotent, &attempt, response_wire);
     }
-    RecordSuccess();
-    Return(std::move(session));
-    return Status::OK();
+    if (attempt.status.ok() || !attempt.retryable) return attempt.status;
+    if (attempts == options_.max_attempts) break;
+    {
+      MutexLock lock(mu_);
+      ++stats_.retries;
+    }
+    std::this_thread::sleep_for(
+        std::chrono::milliseconds(retry.NextDelayMs()));
+    attempt = Send(request_wire);
   }
   {
     MutexLock lock(mu_);
@@ -217,7 +233,12 @@ Status ShardClient::Exchange(const std::string& request_wire, bool idempotent,
   }
   return Status::Unavailable("shard " + options_.addr + ": unavailable after " +
                              std::to_string(options_.max_attempts) +
-                             " attempts: " + last.message());
+                             " attempts: " + attempt.status.message());
+}
+
+Status ShardClient::Exchange(const std::string& request_wire, bool idempotent,
+                             std::string* response_wire) {
+  return Complete(request_wire, idempotent, Send(request_wire), response_wire);
 }
 
 template <typename Response>
@@ -249,9 +270,22 @@ StatusOr<net::QueryResponse> ShardClient::Fetch(
 
 StatusOr<net::MultiFetchResponse> ShardClient::MultiFetch(
     const net::MultiFetchRequest& request) {
+  return FinishMultiFetch(StartMultiFetch(request));
+}
+
+ShardClient::PendingMultiFetch ShardClient::StartMultiFetch(
+    const net::MultiFetchRequest& request) {
+  PendingMultiFetch pending;
+  pending.wire_ = net::SerializeMultiFetchRequest(request);
+  pending.attempt_ = Send(pending.wire_);
+  return pending;
+}
+
+StatusOr<net::MultiFetchResponse> ShardClient::FinishMultiFetch(
+    PendingMultiFetch pending) {
   std::string wire;
-  ZR_RETURN_IF_ERROR(Exchange(net::SerializeMultiFetchRequest(request),
-                              /*idempotent=*/true, &wire));
+  ZR_RETURN_IF_ERROR(Complete(pending.wire_, /*idempotent=*/true,
+                              std::move(pending.attempt_), &wire));
   return Decode(wire, net::ParseMultiFetchResponse);
 }
 

@@ -26,10 +26,20 @@
 // PermissionDenied, ...) pass through untouched: the shard answered, so they
 // neither retry nor count against the breaker.
 //
+// Scatter-gather: MultiFetch also comes in two halves. StartMultiFetch
+// runs the send half of the first attempt (admission, checkout, send) and
+// returns with the request in flight; FinishMultiFetch receives its
+// response, and a send or receive that failed finishes through the same
+// retry loop every other op uses (MultiFetch is idempotent). A router
+// that starts every shard's batch before finishing any overlaps the
+// shards' service times.
+//
 // Threading: thread-safe. The router calls a ShardClient on whichever
 // thread called the router (a backend call never hops threads), so any
 // number of serving threads share one; the connection checkout/return and
 // breaker state are mutex-guarded, and no lock is held across socket IO.
+// A PendingMultiFetch holds its checked-out session until finished, on
+// the thread that started it.
 
 #ifndef ZERBERR_CLUSTER_SHARD_CLIENT_H_
 #define ZERBERR_CLUSTER_SHARD_CLIENT_H_
@@ -106,7 +116,26 @@ struct ShardClientStats {
 };
 
 class ShardClient {
+  /// One attempt of an exchange, between its send and receive halves.
+  struct Attempt {
+    Status status;  ///< OK while the request is in flight
+    bool retryable = false;  ///< failed in transit; another attempt may help
+    std::unique_ptr<net::TcpSession> session;  ///< set while in flight
+    uint64_t hop_start_ns = 0;  ///< send time, when the caller is traced
+  };
+
  public:
+  /// A MultiFetch whose first attempt has been sent; hand it to
+  /// FinishMultiFetch. Destroying an unfinished one closes its session.
+  class PendingMultiFetch {
+   private:
+    friend class ShardClient;
+    PendingMultiFetch() = default;
+
+    std::string wire_;
+    Attempt attempt_;
+  };
+
   explicit ShardClient(ShardClientOptions options);
 
   ShardClient(const ShardClient&) = delete;
@@ -122,6 +151,12 @@ class ShardClient {
   Status Acl(const net::AclRequest& request);
   StatusOr<net::StatsResponse> Stats();
 
+  /// The two halves of MultiFetch (see the file comment):
+  /// MultiFetch(r) == FinishMultiFetch(StartMultiFetch(r)).
+  PendingMultiFetch StartMultiFetch(const net::MultiFetchRequest& request);
+  StatusOr<net::MultiFetchResponse> FinishMultiFetch(
+      PendingMultiFetch pending);
+
   /// One health probe: ping, verify token echo + server id. Success closes
   /// the breaker (counted as a rejoin when it was open); failure opens it.
   Status Probe();
@@ -130,6 +165,9 @@ class ShardClient {
   bool available() const;
 
   ShardClientStats stats() const;
+
+  /// Connections currently idle in the pool (at most pool_size).
+  size_t idle_sessions() const;
 
   const std::string& addr() const { return options_.addr; }
 
@@ -148,9 +186,25 @@ class ShardClient {
   void RecordFailure();
   void RecordSuccess();
 
-  /// Retry loop shared by every op: serialize once, exchange with
-  /// admission/backoff/accounting, hand back the raw response payload
-  /// (which may be a typed error frame).
+  /// Send half of one attempt: admission, checkout, attempt accounting,
+  /// and the request frame (which carries the calling thread's trace
+  /// context). On failure the attempt holds no session.
+  Attempt Send(const std::string& request_wire);
+
+  /// Receive half of a sent attempt: the response frame, the server spans
+  /// it carries, RecordSuccess, and the session back to the pool. Leaves
+  /// the outcome in attempt->status.
+  void Receive(const std::string& request_wire, bool idempotent,
+               Attempt* attempt, std::string* response_wire);
+
+  /// Finishes an exchange whose first attempt has been sent: receives,
+  /// and retries transport failures with backoff up to max_attempts
+  /// (a receive failure only when `idempotent`). Hands back the raw
+  /// response payload, which may be a typed error frame.
+  Status Complete(const std::string& request_wire, bool idempotent,
+                  Attempt first, std::string* response_wire);
+
+  /// Send + Complete: the retry loop every op shares.
   Status Exchange(const std::string& request_wire, bool idempotent,
                   std::string* response_wire);
 

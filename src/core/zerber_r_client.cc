@@ -33,9 +33,7 @@ StatusOr<ZerberRClient::TermQuery> ZerberRClient::BeginQuery(
 
 Status ZerberRClient::AbsorbResponse(TermQuery* q, size_t k,
                                      const net::QueryResponse& response) {
-  ++q->out.trace.requests;
   q->out.trace.elements_fetched += response.elements.size();
-  q->out.trace.bytes_fetched += response.wire_size;
 
   for (const zerber::EncryptedPostingElement& element : response.elements) {
     auto payload = OpenPostingElement(element, *keys_);
@@ -59,26 +57,64 @@ Status ZerberRClient::AbsorbResponse(TermQuery* q, size_t k,
 
 bool ZerberRClient::Done(const TermQuery& q, size_t k) const {
   return q.out.trace.hits >= k || q.out.trace.exhausted ||
-         q.out.trace.requests >= protocol_.max_requests;
+         q.request_index >= protocol_.max_requests;
 }
 
-Status ZerberRClient::RunToCompletion(TermQuery* q, size_t k) {
-  while (!Done(*q, k)) {
-    net::QueryRequest request;
-    request.user = user_;
-    request.list = q->list;
-    request.offset = q->offset;
-    request.count = RequestSize(q->initial, q->request_index);
-    ZR_ASSIGN_OR_RETURN(net::QueryResponse response,
-                        service_->Fetch(request));
-    ZR_RETURN_IF_ERROR(AbsorbResponse(q, k, response));
+Status ZerberRClient::RunRounds(std::span<TermQuery> queries, size_t k,
+                                QueryTrace* trace) {
+  std::vector<TermQuery*> pending;
+  pending.reserve(queries.size());
+  for (;;) {
+    pending.clear();
+    for (TermQuery& q : queries) {
+      if (!Done(q, k)) pending.push_back(&q);
+    }
+    if (pending.empty()) return Status::OK();
+    ++trace->requests;
+
+    if (pending.size() == 1) {
+      TermQuery* q = pending.front();
+      net::QueryRequest request;
+      request.user = user_;
+      request.list = q->list;
+      request.offset = q->offset;
+      request.count = RequestSize(q->initial, q->request_index);
+      ZR_ASSIGN_OR_RETURN(net::QueryResponse response,
+                          service_->Fetch(request));
+      trace->bytes_fetched += response.wire_size;
+      ZR_RETURN_IF_ERROR(AbsorbResponse(q, k, response));
+      continue;
+    }
+
+    net::MultiFetchRequest batch;
+    batch.user = user_;
+    batch.fetches.reserve(pending.size());
+    for (const TermQuery* q : pending) {
+      batch.fetches.push_back(net::FetchRange{
+          q->list, q->offset, RequestSize(q->initial, q->request_index)});
+    }
+    ZR_ASSIGN_OR_RETURN(net::MultiFetchResponse round,
+                        service_->MultiFetch(batch));
+    if (round.responses.size() != pending.size()) {
+      return Status::Internal("MultiFetch answered " +
+                              std::to_string(round.responses.size()) +
+                              " of " + std::to_string(pending.size()) +
+                              " ranges");
+    }
+    // The round's bytes are the real MultiFetchResponse message (envelope
+    // included), not the nested per-range responses.
+    trace->bytes_fetched += round.wire_size;
+    for (size_t i = 0; i < pending.size(); ++i) {
+      ZR_RETURN_IF_ERROR(AbsorbResponse(pending[i], k, round.responses[i]));
+    }
   }
-  return Status::OK();
 }
 
 StatusOr<TopKResult> ZerberRClient::QueryTopK(text::TermId term, size_t k) {
   ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term, k));
-  ZR_RETURN_IF_ERROR(RunToCompletion(&q, k));
+  // One term: every round is a single Fetch, so the rounds' requests and
+  // bytes land in the same trace as the term's elements and hits.
+  ZR_RETURN_IF_ERROR(RunRounds({&q, 1}, k, &q.out.trace));
 
   // Elements arrive in descending TRS order; within one term that is
   // descending raw-score order (RSTF monotonicity), so results are already
@@ -95,56 +131,24 @@ StatusOr<TopKResult> ZerberRClient::QueryTopKMulti(
   TopKResult out;
   if (terms.empty()) return out;
 
-  // Initial requests of every term batched into one round trip.
   std::vector<TermQuery> queries;
   queries.reserve(terms.size());
-  net::MultiFetchRequest batch;
-  batch.user = user_;
-  batch.fetches.reserve(terms.size());
   for (text::TermId term : terms) {
     ZR_ASSIGN_OR_RETURN(TermQuery q, BeginQuery(term, k));
-    net::FetchRange range;
-    range.list = q.list;
-    range.offset = 0;
-    range.count = RequestSize(q.initial, 0);
-    batch.fetches.push_back(range);
     queries.push_back(std::move(q));
   }
-  ZR_ASSIGN_OR_RETURN(net::MultiFetchResponse initial,
-                      service_->MultiFetch(batch));
-  if (initial.responses.size() != queries.size()) {
-    return Status::Internal("MultiFetch answered " +
-                            std::to_string(initial.responses.size()) +
-                            " of " + std::to_string(queries.size()) +
-                            " ranges");
-  }
+  ZR_RETURN_IF_ERROR(RunRounds(queries, k, &out.trace));
 
-  // Absorb the batched responses, then run per-term follow-ups.
-  uint64_t nested_bytes = 0;
-  for (size_t i = 0; i < queries.size(); ++i) {
-    nested_bytes += initial.responses[i].wire_size;
-    ZR_RETURN_IF_ERROR(AbsorbResponse(&queries[i], k, initial.responses[i]));
-    ZR_RETURN_IF_ERROR(RunToCompletion(&queries[i], k));
-  }
-
-  // Merge by summed raw scores; fold per-term traces into one. The batched
-  // round collapses the terms' initial requests into a single request, and
-  // its bytes are the real MultiFetchResponse message (envelope included)
-  // rather than the nested per-term responses absorbed above.
+  // Merge by summed raw scores; fold the per-term counts into the trace.
   std::unordered_map<text::DocId, double> acc;
-  for (TermQuery& q : queries) {
-    out.trace.requests += q.out.trace.requests;
+  for (const TermQuery& q : queries) {
     out.trace.elements_fetched += q.out.trace.elements_fetched;
-    out.trace.bytes_fetched += q.out.trace.bytes_fetched;
     out.trace.hits += q.out.trace.hits;
     out.trace.exhausted = out.trace.exhausted || q.out.trace.exhausted;
     for (const index::ScoredDoc& d : q.out.results) {
       acc[d.doc_id] += d.score;
     }
   }
-  out.trace.requests -= queries.size() - 1;
-  out.trace.bytes_fetched += initial.wire_size;
-  out.trace.bytes_fetched -= nested_bytes;
 
   out.results.reserve(acc.size());
   for (const auto& [doc, score] : acc) {

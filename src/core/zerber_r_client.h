@@ -3,6 +3,7 @@
 #ifndef ZERBERR_CORE_ZERBER_R_CLIENT_H_
 #define ZERBERR_CORE_ZERBER_R_CLIENT_H_
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,12 +51,15 @@ class ZerberRClient : public zerber::ZerberClient {
   /// hits *are* the term's top-k documents.
   StatusOr<TopKResult> QueryTopK(text::TermId term, size_t k);
 
-  /// Multi-term query as a set of single-term queries (Section 3.2) whose
-  /// *initial* requests are batched into a single MultiFetch round trip;
-  /// follow-ups (when a term's initial response lacks k hits) proceed
-  /// per-term. Results are merged client-side by summed raw scores; the
-  /// paper accepts the slight accuracy loss vs TFxIDF as the price of
-  /// hiding collection statistics.
+  /// Multi-term query as a set of single-term queries (Section 3.2) run in
+  /// rounds: each round asks every term that still lacks k hits for the
+  /// next range of its own doubling schedule, all in one round trip (one
+  /// MultiFetch, or a plain Fetch when only one term is pending). The
+  /// first round therefore carries every term's initial request, and a
+  /// query takes as many round trips as its slowest term needs requests.
+  /// Results are merged client-side by summed raw scores; the paper
+  /// accepts the slight accuracy loss vs TFxIDF as the price of hiding
+  /// collection statistics.
   StatusOr<TopKResult> QueryTopKMulti(const std::vector<text::TermId>& terms,
                                       size_t k);
 
@@ -69,7 +73,9 @@ class ZerberRClient : public zerber::ZerberClient {
     zerber::MergedListId list = 0;
     size_t initial = 0;        ///< initial response size b for this list
     size_t offset = 0;         ///< accessible elements consumed so far
-    size_t request_index = 0;  ///< next request's slot in the schedule
+    size_t request_index = 0;  ///< next request's slot = requests so far
+    /// The term's hits; its trace counts elements, hits and exhaustion
+    /// (requests and bytes belong to the rounds, see RunRounds).
     TopKResult out;
   };
 
@@ -77,15 +83,19 @@ class ZerberRClient : public zerber::ZerberClient {
   StatusOr<TermQuery> BeginQuery(text::TermId term, size_t k) const;
 
   /// Folds one response into the query state: decrypts, filters to the
-  /// term, counts trace fields (one request, its elements and bytes).
+  /// term, counts the term's elements, hits and exhaustion, and advances
+  /// its schedule.
   Status AbsorbResponse(TermQuery* q, size_t k,
                         const net::QueryResponse& response);
 
   /// True when the query needs no further requests.
   bool Done(const TermQuery& q, size_t k) const;
 
-  /// Issues Fetch rounds (from the current request_index) until Done.
-  Status RunToCompletion(TermQuery* q, size_t k);
+  /// Runs rounds until every query is Done. A round requests the next
+  /// range of every pending query in one round trip: a Fetch for one
+  /// range, a MultiFetch for more. Adds each round and the bytes of its
+  /// response message to `trace->requests` and `trace->bytes_fetched`.
+  Status RunRounds(std::span<TermQuery> queries, size_t k, QueryTrace* trace);
 
   const TrsAssigner* assigner_;
   ProtocolOptions protocol_;

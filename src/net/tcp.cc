@@ -1665,80 +1665,9 @@ StatusOr<DeleteResponse> TcpTransport::Delete(const DeleteRequest& request) {
 
 StatusOr<MultiFetchResponse> TcpTransport::MultiFetch(
     const MultiFetchRequest& request) {
-  if (pipelined_multifetch_ && request.fetches.size() > 1) {
-    return MultiFetchPipelined(request);
-  }
   return Exchange(request, SerializeMultiFetchRequest,
                   WireSizeOfMultiFetchRequest, "MultiFetchRequest",
                   ParseMultiFetchResponse);
-}
-
-StatusOr<MultiFetchResponse> TcpTransport::MultiFetchPipelined(
-    const MultiFetchRequest& request) {
-  // All request frames go out before any response is read; the server
-  // answers in order, so response i matches fetches[i]. Fetches are pure
-  // reads, so when the pipeline send fails midway the whole batch is
-  // resent once over a fresh connection.
-  std::vector<std::string> wires;
-  wires.reserve(request.fetches.size());
-  for (const FetchRange& f : request.fetches) {
-    QueryRequest q;
-    q.user = request.user;
-    q.list = f.list;
-    q.offset = f.offset;
-    q.count = f.count;
-    wires.push_back(SerializeQueryRequest(q));
-    if (wires.back().size() != WireSizeOfQueryRequest(q)) {
-      return TcpDriftError("QueryRequest");
-    }
-  }
-  auto send_all = [&]() -> Status {
-    for (const std::string& wire : wires) {
-      ZR_RETURN_IF_ERROR(session_.SendFrame(wire));
-    }
-    return Status::OK();
-  };
-  Status sent = send_all();
-  if (!sent.ok()) {
-    if (sent.IsInvalidArgument()) return sent;
-    ZR_RETURN_IF_ERROR(session_.Connect());
-    ZR_RETURN_IF_ERROR(send_all());
-  }
-
-  MultiFetchResponse response;
-  response.responses.reserve(wires.size());
-  Status first_error = Status::OK();
-  for (size_t i = 0; i < wires.size(); ++i) {
-    std::string wire_response;
-    ZR_RETURN_IF_ERROR(session_.RecvFrame(&wire_response));
-    if (!first_error.ok()) continue;  // drain to keep the stream aligned
-    if (IsErrorResponse(wire_response)) {
-      Status decoded;
-      Status parsed = ParseErrorResponse(wire_response, &decoded);
-      if (!parsed.ok()) {
-        // Undecodable response with more pipelined responses in flight:
-        // the stream position can't be trusted any longer — returning
-        // here without dropping the connection would hand the leftover
-        // frames to the *next* RPC as its answers.
-        session_.Disconnect();
-        return parsed;
-      }
-      Account(wires[i].size(), wire_response.size());
-      first_error = decoded;  // MultiFetch fails atomically
-      continue;
-    }
-    auto r = ParseQueryResponse(wire_response);
-    if (!r.ok()) {
-      session_.Disconnect();  // same stream-desync hazard as above
-      return r.status();
-    }
-    r->wire_size = wire_response.size();
-    Account(wires[i].size(), wire_response.size());
-    response.wire_size += wire_response.size();
-    response.responses.push_back(std::move(r).value());
-  }
-  if (!first_error.ok()) return first_error;
-  return response;
 }
 
 }  // namespace zr::net

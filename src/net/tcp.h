@@ -512,14 +512,6 @@ class TcpTransport final : public Transport {
       const MultiFetchRequest& request) override;
   StatusOr<DeleteResponse> Delete(const DeleteRequest& request) override;
 
-  /// When enabled, MultiFetch is issued as one pipelined Fetch frame per
-  /// range — all requests written before any response is read — instead
-  /// of a single MultiFetch message. Results are identical (asserted in
-  /// tests); accounting then counts one exchange per range. Off by
-  /// default so byte accounting stays message-for-message comparable with
-  /// Direct/Loopback.
-  void set_pipelined_multifetch(bool on) { pipelined_multifetch_ = on; }
-
   const TcpSocketStats& socket_stats() const { return session_.socket_stats(); }
 
   /// Resets both payload accounting and socket counters.
@@ -541,11 +533,7 @@ class TcpTransport final : public Transport {
                               StatusOr<Response> (*parse_response)(
                                   std::string_view));
 
-  StatusOr<MultiFetchResponse> MultiFetchPipelined(
-      const MultiFetchRequest& request);
-
   TcpSession session_;
-  bool pipelined_multifetch_ = false;
 };
 
 }  // namespace zr::net

@@ -28,6 +28,7 @@
 #include "crypto/keys.h"
 #include "net/messages.h"
 #include "zerber/posting_element.h"
+#include "zerber/sharded_index.h"
 
 namespace zr::cluster {
 namespace {
@@ -42,6 +43,9 @@ constexpr size_t kVictim = kShards - 1;  // owns lists {2, 5} (L % 3 == 2)
 
 class ClusterFailoverTest : public ::testing::Test {
  protected:
+  explicit ClusterFailoverTest(size_t num_shards = kShards)
+      : num_shards_(num_shards) {}
+
   void SetUp() override {
     binary_ = ShardServerBinary();
     if (::access(binary_.c_str(), X_OK) != 0) {
@@ -56,12 +60,12 @@ class ClusterFailoverTest : public ::testing::Test {
     std::filesystem::create_directories(root_, ec);
 
     std::vector<std::string> addrs;
-    for (size_t s = 0; s < kShards; ++s) {
+    for (size_t s = 0; s < num_shards_; ++s) {
       // sync=every-record: every acked mutation must survive a SIGKILL —
       // that durability is exactly what the rejoin test asserts.
       shard_args_.push_back({
           "--shard=" + std::to_string(s),
-          "--shards=" + std::to_string(kShards),
+          "--shards=" + std::to_string(num_shards_),
           "--lists=" + std::to_string(kLists),
           "--seed=99",
           "--data-dir=" + (root_ / ("s" + std::to_string(s))).string(),
@@ -113,8 +117,8 @@ class ClusterFailoverTest : public ::testing::Test {
     }
   }
 
-  // Inserts one element into `list` through the router; returns the ack.
-  net::InsertResponse MustInsert(uint32_t list, uint32_t doc) {
+  // An insert of one freshly sealed element into `list`.
+  net::InsertRequest SealedInsert(uint32_t list, uint32_t doc) {
     auto sealed = zerber::SealPostingElement(
         zerber::PostingPayload{/*term=*/list, /*doc=*/doc, 0.5}, kGroup,
         /*trs=*/0.25 + 0.001 * doc, keys_.get());
@@ -122,8 +126,13 @@ class ClusterFailoverTest : public ::testing::Test {
     net::InsertRequest request;
     request.user = kUser;
     request.list = list;
-    request.element = std::move(sealed).value();
-    auto response = router_->Insert(request);
+    if (sealed.ok()) request.element = std::move(sealed).value();
+    return request;
+  }
+
+  // Inserts one element into `list` through the router; returns the ack.
+  net::InsertResponse MustInsert(uint32_t list, uint32_t doc) {
+    auto response = router_->Insert(SealedInsert(list, doc));
     EXPECT_TRUE(response.ok()) << response.status();
     return response.ok() ? *response : net::InsertResponse{};
   }
@@ -149,6 +158,17 @@ class ClusterFailoverTest : public ::testing::Test {
     }
   }
 
+  // A MultiFetch of the first `count` elements of every list.
+  static net::MultiFetchRequest FetchEveryList(uint64_t count = 4) {
+    net::MultiFetchRequest multi;
+    multi.user = kUser;
+    for (uint32_t list = 0; list < kLists; ++list) {
+      multi.fetches.push_back({/*list=*/list, /*offset=*/0, count});
+    }
+    return multi;
+  }
+
+  const size_t num_shards_;
   std::string binary_;
   std::filesystem::path root_;
   std::vector<std::vector<std::string>> shard_args_;
@@ -304,6 +324,76 @@ TEST_F(ClusterFailoverTest, TypedErrorsPassThroughWithoutTrippingTheBreaker) {
   EXPECT_EQ(stats.transport_errors, 0u);
   EXPECT_EQ(stats.breaker_opens, 0u);
   EXPECT_EQ(stats.unavailable, 0u);
+}
+
+// The router's scatter-gather over four shards: every shard's batch is sent
+// before any is received.
+class FourShardFailoverTest : public ClusterFailoverTest {
+ protected:
+  FourShardFailoverTest() : ClusterFailoverTest(/*num_shards=*/4) {}
+};
+
+TEST_F(FourShardFailoverTest, ScatterGatherSurfacesADeadShardAndItsRejoin) {
+  // The in-process reference: the same routing math and backend seed.
+  zerber::ShardedIndexService reference(
+      kLists, {/*num_shards=*/4, zerber::Placement::kTrsSorted, /*seed=*/99});
+  ASSERT_TRUE(reference.AddGroup(kGroup).ok());
+  ASSERT_TRUE(reference.GrantMembership(kUser, kGroup).ok());
+  for (uint32_t list = 0; list < kLists; ++list) {
+    for (uint32_t doc = 0; doc < 3; ++doc) {
+      net::InsertRequest request = SealedInsert(list, 100 * list + doc);
+      auto want = reference.Insert(request);
+      auto got = router_->Insert(request);
+      ASSERT_TRUE(want.ok()) << want.status();
+      ASSERT_TRUE(got.ok()) << got.status();
+      EXPECT_EQ(want->handle, got->handle);
+    }
+  }
+
+  constexpr size_t kDead = 2;  // owns list 2 of the six
+  const std::string dead_addr = procs_[kDead]->addr();
+  procs_[kDead]->Kill();
+  const net::MultiFetchRequest multi = FetchEveryList();
+  auto failed = router_->MultiFetch(multi);
+  ASSERT_FALSE(failed.ok());
+  EXPECT_TRUE(failed.status().IsUnavailable()) << failed.status();
+  EXPECT_EQ(failed.status().message().rfind("shard " + dead_addr + ":", 0),
+            0u)
+      << failed.status();
+
+  auto restarted = ShardProcess::Start(binary_, shard_args_[kDead]);
+  ASSERT_TRUE(restarted.ok()) << restarted.status();
+  procs_[kDead] = std::move(restarted).value();
+  ASSERT_TRUE(router_->WaitForShard(kDead, 15000).ok());
+
+  auto want = reference.MultiFetch(multi);
+  auto got = router_->MultiFetch(multi);
+  ASSERT_TRUE(want.ok()) << want.status();
+  ASSERT_TRUE(got.ok()) << got.status();
+  ASSERT_EQ(want->responses.size(), got->responses.size());
+  for (size_t i = 0; i < want->responses.size(); ++i) {
+    EXPECT_EQ(got->responses[i].elements.size(), 3u) << "range " << i;
+    ExpectSameContent(want->responses[i], got->responses[i]);
+  }
+}
+
+TEST_F(FourShardFailoverTest, ScatterGatherReturnsEverySessionToItsPool) {
+  for (uint32_t list = 0; list < kLists; ++list) MustInsert(list, 500 + list);
+  const net::MultiFetchRequest multi = FetchEveryList();
+  for (int call = 0; call < 200; ++call) {
+    auto fetched = router_->MultiFetch(multi);
+    ASSERT_TRUE(fetched.ok()) << "call " << call << ": " << fetched.status();
+  }
+  // One caller needs one connection per shard: a session that the
+  // send-then-receive path failed to hand back would leave the pool empty,
+  // and every later call would have dialled a new connection.
+  const size_t pool_size = ShardClientOptions().pool_size;
+  for (size_t s = 0; s < num_shards_; ++s) {
+    const ShardClient& shard = router_->shard_client(s);
+    EXPECT_LE(shard.idle_sessions(), pool_size) << "shard " << s;
+    EXPECT_EQ(shard.idle_sessions(), 1u) << "shard " << s;
+    EXPECT_EQ(shard.stats().transport_errors, 0u) << "shard " << s;
+  }
 }
 
 }  // namespace

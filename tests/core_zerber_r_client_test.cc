@@ -2,9 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "core/pipeline.h"
+#include "net/messages.h"
+#include "net/service.h"
 
 namespace zr::core {
 namespace {
@@ -161,9 +164,10 @@ TEST_F(ZerberRClientTest, MultiTermMergesSingleTermResults) {
   auto a = pipeline_->client->QueryTopK(ids[0], 5);
   auto b = pipeline_->client->QueryTopK(ids[1], 5);
   ASSERT_TRUE(a.ok() && b.ok());
-  // The terms' initial requests are batched into one MultiFetch round trip,
-  // saving a round trip per extra term; follow-ups stay per-term.
-  EXPECT_EQ(multi->trace.requests, a->trace.requests + b->trace.requests - 1);
+  // Every round batches both terms' next ranges into one round trip, so
+  // the query takes as many round trips as its slower term.
+  EXPECT_EQ(multi->trace.requests,
+            std::max(a->trace.requests, b->trace.requests));
   EXPECT_EQ(multi->trace.elements_fetched,
             a->trace.elements_fetched + b->trace.elements_fetched);
   // Every multi result doc must come from one of the single-term results.
@@ -173,6 +177,126 @@ TEST_F(ZerberRClientTest, MultiTermMergesSingleTermResults) {
   for (const auto& d : multi->results) {
     EXPECT_TRUE(sources.count(d.doc_id) > 0);
   }
+}
+
+// Forwards every exchange to a backend and records the fetches a client
+// issues: which ranges, in which message type, and the response message's
+// wire size.
+class RecordingService : public net::ZerberService {
+ public:
+  struct Call {
+    bool multi = false;
+    std::vector<net::FetchRange> ranges;
+    uint64_t response_bytes = 0;
+  };
+
+  explicit RecordingService(net::ZerberService* backend) : backend_(backend) {}
+
+  StatusOr<net::InsertResponse> Insert(
+      const net::InsertRequest& request) override {
+    return backend_->Insert(request);
+  }
+  StatusOr<net::QueryResponse> Fetch(
+      const net::QueryRequest& request) override {
+    auto response = backend_->Fetch(request);
+    if (response.ok()) {
+      calls.push_back(
+          {false,
+           {net::FetchRange{request.list, request.offset, request.count}},
+           net::WireSizeOfQueryResponse(*response)});
+    }
+    return response;
+  }
+  StatusOr<net::MultiFetchResponse> MultiFetch(
+      const net::MultiFetchRequest& request) override {
+    auto response = backend_->MultiFetch(request);
+    if (response.ok()) {
+      calls.push_back({true, request.fetches,
+                       net::WireSizeOfMultiFetchResponse(*response)});
+    }
+    return response;
+  }
+  StatusOr<net::DeleteResponse> Delete(
+      const net::DeleteRequest& request) override {
+    return backend_->Delete(request);
+  }
+
+  std::vector<Call> calls;
+
+ private:
+  net::ZerberService* backend_;
+};
+
+TEST_F(ZerberRClientTest, MultiTermRoundsBatchEveryPendingTerm) {
+  // A small initial response forces follow-ups. Pick three terms whose
+  // single-term queries need distinct request counts of at least two, so
+  // the multi-term query has follow-up rounds with several pending terms
+  // (one MultiFetch) and a last round with only the slowest term (a Fetch).
+  constexpr size_t k = 10;
+  ProtocolOptions protocol;
+  protocol.initial_response_size = 2;
+  RecordingService recorder(pipeline_->transport.get());
+  ZerberRClient client(pipeline_->user, pipeline_->keys.get(),
+                       &pipeline_->plan, &recorder,
+                       &pipeline_->corpus.vocabulary(),
+                       pipeline_->assigner.get(), protocol);
+
+  std::vector<text::TermId> terms;
+  std::vector<std::vector<net::FetchRange>> alone;  // per term
+  uint64_t alone_elements = 0;
+  for (text::TermId term : pipeline_->corpus.vocabulary().AllTermIds()) {
+    if (pipeline_->corpus.DocumentFrequency(term) == 0) continue;
+    recorder.calls.clear();
+    auto single = client.QueryTopK(term, k);
+    ASSERT_TRUE(single.ok()) << single.status();
+    if (recorder.calls.size() < 2) continue;
+    bool distinct = true;
+    for (const auto& seen : alone) {
+      distinct = distinct && seen.size() != recorder.calls.size();
+    }
+    if (!distinct) continue;
+    std::vector<net::FetchRange> ranges;
+    for (const RecordingService::Call& call : recorder.calls) {
+      EXPECT_FALSE(call.multi) << "a single-term query only Fetches";
+      ranges.push_back(call.ranges.at(0));
+    }
+    terms.push_back(term);
+    alone.push_back(std::move(ranges));
+    alone_elements += single->trace.elements_fetched;
+    if (terms.size() == 3) break;
+  }
+  ASSERT_EQ(terms.size(), 3u) << "corpus lacks terms needing follow-ups";
+
+  recorder.calls.clear();
+  auto multi = client.QueryTopKMulti(terms, k);
+  ASSERT_TRUE(multi.ok()) << multi.status();
+
+  // Round r carries range r of every term that issues more than r requests
+  // alone, in query order: each term's sequence is its single-term one.
+  size_t rounds = 0;
+  for (const auto& ranges : alone) rounds = std::max(rounds, ranges.size());
+  ASSERT_EQ(recorder.calls.size(), rounds)
+      << "1 + the largest per-term follow-up count";
+  uint64_t bytes = 0;
+  size_t fetch_rounds = 0, multi_follow_ups = 0;
+  for (size_t r = 0; r < rounds; ++r) {
+    std::vector<net::FetchRange> want;
+    for (const auto& ranges : alone) {
+      if (r < ranges.size()) want.push_back(ranges[r]);
+    }
+    const RecordingService::Call& call = recorder.calls[r];
+    EXPECT_EQ(call.ranges, want) << "round " << r;
+    EXPECT_EQ(call.multi, want.size() > 1) << "round " << r;
+    if (!call.multi) ++fetch_rounds;
+    if (call.multi && r > 0) ++multi_follow_ups;
+    bytes += call.response_bytes;
+  }
+  EXPECT_GE(fetch_rounds, 1u);
+  EXPECT_GE(multi_follow_ups, 1u);
+
+  EXPECT_EQ(multi->trace.requests, recorder.calls.size());
+  EXPECT_EQ(multi->trace.bytes_fetched, bytes);
+  EXPECT_EQ(multi->trace.elements_fetched, alone_elements);
 }
 
 TEST_F(ZerberRClientTest, LargerInitialResponseReducesRequests) {

@@ -348,55 +348,6 @@ TEST_F(TcpTest, OversizedResponseIsReplacedWithAnErrorFrame) {
   EXPECT_TRUE(small.ok()) << small.status();
 }
 
-TEST_F(TcpTest, UnparseableMidPipelineResponseBreaksTheSession) {
-  // A fake server that answers pipelined fetches with well-framed
-  // garbage: the client must drop the connection (the stream position is
-  // untrustworthy) rather than leave stale frames for the next RPC.
-  int listener = ::socket(AF_INET, SOCK_STREAM, 0);
-  ASSERT_GE(listener, 0);
-  sockaddr_in sa;
-  std::memset(&sa, 0, sizeof(sa));
-  sa.sin_family = AF_INET;
-  sa.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
-  ASSERT_EQ(::bind(listener, reinterpret_cast<sockaddr*>(&sa), sizeof(sa)), 0);
-  ASSERT_EQ(::listen(listener, 1), 0);
-  socklen_t len = sizeof(sa);
-  ASSERT_EQ(::getsockname(listener, reinterpret_cast<sockaddr*>(&sa), &len), 0);
-  std::string addr = "127.0.0.1:" + std::to_string(ntohs(sa.sin_port));
-
-  std::thread fake_server([listener] {
-    int fd = ::accept(listener, nullptr, nullptr);
-    ASSERT_GE(fd, 0);
-    char buf[4096];
-    ssize_t n = ::read(fd, buf, sizeof(buf));  // the pipelined requests
-    ASSERT_GT(n, 0);
-    // Two frames: QueryResponse tag followed by garbage, twice.
-    std::string junk = std::string("\x02", 1) + "garbage";
-    std::string frames;
-    for (int i = 0; i < 2; ++i) {
-      frames += FrameHeader(static_cast<uint32_t>(junk.size())) + junk;
-    }
-    (void)::write(fd, frames.data(), frames.size());
-    char drain[64];
-    (void)::read(fd, drain, sizeof(drain));  // wait for the client close
-    ::close(fd);
-  });
-
-  TcpTransport tcp(addr);
-  tcp.set_pipelined_multifetch(true);
-  MultiFetchRequest multi;
-  multi.user = kUser;
-  multi.fetches.push_back(FetchRange{0, 0, 5});
-  multi.fetches.push_back(FetchRange{1, 0, 5});
-  auto result = tcp.MultiFetch(multi);
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsCorruption()) << result.status();
-  EXPECT_TRUE(tcp.session().broken())
-      << "stale pipelined frames must not survive into the next RPC";
-  fake_server.join();
-  ::close(listener);
-}
-
 TEST_F(TcpTest, UnknownTagIsAnsweredWithAnErrorAndClosed) {
   int fd = RawConnect(tcp_server_->address());
   RawSendAll(fd, FrameHeader(3));
@@ -517,56 +468,6 @@ TEST_F(TcpTest, PipelinedSessionAnswersInOrder) {
   ASSERT_EQ(responses[1].elements.size(), 1u);
   EXPECT_EQ(responses[0].elements[0].handle, responses[2].elements[0].handle);
   EXPECT_NE(responses[0].elements[0].handle, responses[1].elements[0].handle);
-}
-
-TEST_F(TcpTest, PipelinedMultiFetchMatchesSingleMessageMultiFetch) {
-  TcpTransport setup(tcp_server_->address());
-  for (double trs : {0.9, 0.6, 0.3}) {
-    ASSERT_TRUE(setup.Insert(MakeInsert(0, trs)).ok());
-    ASSERT_TRUE(setup.Insert(MakeInsert(1, trs / 2)).ok());
-  }
-
-  MultiFetchRequest multi;
-  multi.user = kUser;
-  multi.fetches.push_back(FetchRange{0, 0, 5});
-  multi.fetches.push_back(FetchRange{1, 1, 2});
-  multi.fetches.push_back(FetchRange{0, 2, 5});
-
-  TcpTransport single(tcp_server_->address());
-  TcpTransport pipelined(tcp_server_->address());
-  pipelined.set_pipelined_multifetch(true);
-
-  auto a = single.MultiFetch(multi);
-  auto b = pipelined.MultiFetch(multi);
-  ASSERT_TRUE(a.ok()) << a.status();
-  ASSERT_TRUE(b.ok()) << b.status();
-  ASSERT_EQ(a->responses.size(), b->responses.size());
-  for (size_t i = 0; i < a->responses.size(); ++i) {
-    ASSERT_EQ(a->responses[i].elements.size(), b->responses[i].elements.size());
-    EXPECT_EQ(a->responses[i].exhausted, b->responses[i].exhausted);
-    for (size_t j = 0; j < a->responses[i].elements.size(); ++j) {
-      EXPECT_EQ(a->responses[i].elements[j].sealed,
-                b->responses[i].elements[j].sealed);
-      EXPECT_EQ(a->responses[i].elements[j].handle,
-                b->responses[i].elements[j].handle);
-    }
-  }
-  // Pipelined mode counts one exchange per range.
-  EXPECT_EQ(single.stats().exchanges, 1u);
-  EXPECT_EQ(pipelined.stats().exchanges, 3u);
-
-  // Atomic failure: one bad range fails the whole call in both modes,
-  // with the identical decoded status.
-  multi.fetches.push_back(FetchRange{99, 0, 1});
-  auto bad_single = single.MultiFetch(multi);
-  auto bad_pipelined = pipelined.MultiFetch(multi);
-  ASSERT_FALSE(bad_single.ok());
-  ASSERT_FALSE(bad_pipelined.ok());
-  EXPECT_EQ(bad_pipelined.status(), bad_single.status());
-  // The pipelined session drained every in-flight response and stays
-  // usable for the next call.
-  auto after = pipelined.Fetch(MakeFetch(0));
-  EXPECT_TRUE(after.ok()) << after.status();
 }
 
 TEST_F(TcpTest, HalfCloseAfterPipelinedBatchStillGetsEveryResponse) {
